@@ -8,9 +8,9 @@ networks per plane pass.  This benchmark measures that claim directly:
 
 * **scalar leg** — replay a handful of lanes through
   :class:`repro.cfsm.network.NetworkSimulator` under the *same* stimulus
-  stream and time reactions/second;
-* **fleet legs** — run the whole fleet through the int-plane backend
-  (and the numpy uint64-word backend when numpy is importable) and time
+  stream (:func:`repro.fleet.crosscheck.scalar_reference_run`) and time
+  reactions/second;
+* **fleet leg** — run the whole fleet on int planes and time
   reactions/second; ``speedup`` is fleet over scalar;
 * **cross-check** — sampled lanes must be bit-identical to the scalar
   simulator (states, flags, value buffers, lost-event and reaction
@@ -25,7 +25,8 @@ Two entry points:
 * **report script** (``python benchmarks/bench_fleet_sim.py --json
   BENCH_sim.json``) — the machine-readable ``repro-sim-bench/v1``
   document the CI jobs feed ``repro bench-history --check`` (tracked
-  metric: the int-backend speedup, gated at >= 20x in full mode).
+  metric: the fleet speedup, reported under ``backends.int`` and gated
+  by ``benchmarks/results/bench_history_reference.json``).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``): smaller fleet,
 fewer steps, fewer scalar baseline lanes.
@@ -37,16 +38,14 @@ import time
 
 import pytest
 
-from repro.cfsm.network import NetworkSimulator
 from repro.fleet import (
     FleetConfig,
     check_lanes,
     compile_network,
     default_spec,
-    numpy_available,
     run_fleet,
 )
-from repro.fleet.crosscheck import materialize_stream
+from repro.fleet.crosscheck import materialize_stream, scalar_reference_run
 
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -54,7 +53,7 @@ from conftest import write_report
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
-#: The acceptance gate of full mode: the int-backend fleet must deliver
+#: The acceptance gate of full mode: the fleet must deliver
 #: at least this many times the scalar simulator's reactions/second on a
 #: >= 4096-instance dashboard fleet.  Smoke mode only requires > 1x.
 MIN_SPEEDUP = 20.0
@@ -77,20 +76,10 @@ def _scalar_leg(network, compiled, spec, config, lanes):
     reactions = 0
     start = time.perf_counter()
     for lane in range(lanes):
-        sim = NetworkSimulator(network)
-        for planes in step_planes:
-            for name, presence, values in planes:
-                if not (presence >> lane) & 1:
-                    continue
-                value = None
-                if values is not None:
-                    value = sum(
-                        ((plane >> lane) & 1) << b
-                        for b, plane in enumerate(values)
-                    )
-                sim.inject(name, value)
-            sim.step()
-        reactions += sim.reactions
+        reactions += scalar_reference_run(
+            network, compiled, spec, config.seed, config.steps,
+            0, shard_lanes, lane, step_planes=step_planes,
+        )["reactions"]
     wall = time.perf_counter() - start
     return {
         "reactions": reactions,
@@ -99,17 +88,8 @@ def _scalar_leg(network, compiled, spec, config, lanes):
     }
 
 
-def _fleet_leg(network, compiled, config, backend, scalar_rps):
-    leg_config = FleetConfig(
-        instances=config.instances,
-        steps=config.steps,
-        seed=config.seed,
-        jobs=config.jobs,
-        backend=backend,
-        lanes_per_shard=config.lanes_per_shard,
-        spec=config.spec,
-    )
-    summary = run_fleet(network, leg_config, compiled=compiled)
+def _fleet_leg(network, compiled, config, scalar_rps):
+    summary = run_fleet(network, config, compiled=compiled)
     rps = summary["reactions_per_sec"]
     return {
         "reactions": summary["reactions"],
@@ -117,7 +97,7 @@ def _fleet_leg(network, compiled, config, backend, scalar_rps):
                         6),
         "reactions_per_sec": round(rps, 1),
         "speedup": round(rps / scalar_rps, 2) if scalar_rps else 0.0,
-    }, summary["digest"]
+    }
 
 
 def run_report(smoke=False):
@@ -132,28 +112,22 @@ def run_report(smoke=False):
         steps=sizes["steps"],
         seed=0,
         jobs=1,
-        backend="int",
         spec=spec,
     )
 
     scalar = _scalar_leg(
         network, compiled, spec, config, sizes["scalar_lanes"]
     )
-    backends = {}
-    backends["int"], _ = _fleet_leg(
-        network, compiled, config, "int", scalar["reactions_per_sec"]
-    )
-    if numpy_available():
-        backends["numpy"], _ = _fleet_leg(
-            network, compiled, config, "numpy", scalar["reactions_per_sec"]
-        )
+    # The v1 document keys fleet legs by plane representation.
+    backends = {
+        "int": _fleet_leg(network, compiled, config, scalar["reactions_per_sec"])
+    }
 
     jobs4_config = FleetConfig(
         instances=config.instances,
         steps=config.steps,
         seed=config.seed,
         jobs=4,
-        backend="int",
         lanes_per_shard=max(64, config.instances // 4),
         spec=spec,
     )
@@ -165,7 +139,6 @@ def run_report(smoke=False):
         steps=jobs4_config.steps,
         seed=jobs4_config.seed,
         jobs=1,
-        backend="int",
         lanes_per_shard=jobs4_config.lanes_per_shard,
         spec=spec,
     )
@@ -215,8 +188,8 @@ def test_fleet_bench_document_is_valid_and_fast():
     assert errors == [], errors
     assert doc["crosscheck"]["mismatches"] == 0, doc["crosscheck"]
     assert doc["determinism"]["match"], doc["determinism"]
-    # Smoke fleets are small; the full >= 20x gate lives in the
-    # bench-history reference checked by CI on the full document.
+    # Smoke fleets are small; the tracked speedup gate lives in the
+    # bench-history reference that CI checks against the smoke document.
     assert doc["backends"]["int"]["speedup"] > 1.0, doc["backends"]["int"]
     write_report("fleet_sim", _report_lines(doc))
 

@@ -545,16 +545,20 @@ def _cmd_fleet(args) -> int:
             "repro fleet: no modules given (pass RSL files or --app)\n"
         )
         return 2
-    spec = load_spec(args.stimulus, network) if args.stimulus else None
-    config = FleetConfig(
-        instances=args.instances,
-        steps=args.steps,
-        seed=args.seed,
-        jobs=args.jobs,
-        backend=args.backend,
-        lanes_per_shard=args.lanes_per_shard,
-        spec=spec,
-    )
+    try:
+        spec = load_spec(args.stimulus, network) if args.stimulus else None
+        config = FleetConfig(
+            instances=args.instances,
+            steps=args.steps,
+            seed=args.seed,
+            jobs=args.jobs,
+            lanes_per_shard=args.lanes_per_shard,
+            spec=spec,
+        )
+        config.shard_sizes()  # reject impossible sizes before compiling
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"repro fleet: {exc}\n")
+        return 2
     trace = None
     if args.trace:
         from .pipeline import BuildTrace
@@ -571,7 +575,7 @@ def _cmd_fleet(args) -> int:
     print(
         f"{summary['network']}: {summary['instances']:,} instances x "
         f"{summary['steps']:,} steps on {summary['shards']} shard(s) "
-        f"(jobs={summary['jobs']}, backend={summary['backend']})"
+        f"(jobs={summary['jobs']})"
     )
     print(
         f"  {summary['reactions']:,} reactions "
@@ -1011,10 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="run shards on an N-worker process pool (results "
                         "are identical for any N)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "int", "numpy"],
-                   help="plane representation: arbitrary-precision ints, "
-                        "numpy uint64 words, or auto-select")
     p.add_argument("--lanes-per-shard", type=int, default=4096,
                    help="lanes per shard (fixed blocks, independent of "
                         "--jobs)")

@@ -11,15 +11,7 @@ bit-for-bit equivalent to the scalar :class:`repro.cfsm.network.NetworkSimulator
 from .alu import Alu, BitVec, Circuit, FleetCompileError, build_expr
 from .crosscheck import check_lanes, random_campaign
 from .kernel import CompiledMachine, CompiledNetwork, compile_network
-from .lanes import (
-    Backend,
-    IntBackend,
-    LaneCounter,
-    NumpyBackend,
-    make_backend,
-    numpy_available,
-    select,
-)
+from .lanes import LaneCounter, select
 from .sim import (
     FleetConfig,
     FleetShard,
@@ -38,7 +30,6 @@ from .stimulus import (
 
 __all__ = [
     "Alu",
-    "Backend",
     "BitVec",
     "Circuit",
     "CompiledMachine",
@@ -49,9 +40,7 @@ __all__ = [
     "FleetShard",
     "FleetShardOutcome",
     "FleetShardTask",
-    "IntBackend",
     "LaneCounter",
-    "NumpyBackend",
     "StimulusSpec",
     "StimulusStream",
     "build_expr",
@@ -59,8 +48,6 @@ __all__ = [
     "compile_network",
     "default_spec",
     "load_spec",
-    "make_backend",
-    "numpy_available",
     "random_campaign",
     "run_fleet",
     "select",

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..cfsm.network import Network, NetworkSimulator
 from .kernel import CompiledNetwork, compile_network
-from .lanes import IntBackend, make_backend, numpy_available
 from .sim import FleetConfig, FleetShard
 from .stimulus import StimulusSpec, StimulusStream, default_spec, shard_seed
 
@@ -80,7 +79,6 @@ def scalar_reference_run(
         step_planes = materialize_stream(
             compiled, spec, seed, steps, shard_index, shard_lanes
         )
-    backend = IntBackend(shard_lanes)
     sim = NetworkSimulator(network)
     for planes in step_planes:
         for name, presence, values in planes:
@@ -94,7 +92,6 @@ def scalar_reference_run(
                 )
             sim.inject(name, value)
         sim.step()
-    del backend
     return _scalar_snapshot(sim, compiled)
 
 
@@ -107,11 +104,10 @@ def materialize_stream(
     shard_lanes: int,
 ) -> List[Any]:
     """All stimulus planes of one shard, as ints (shareable across lanes)."""
-    backend = IntBackend(shard_lanes)
     stream = StimulusStream(
         spec,
         {name: width for name, width in compiled.env_inputs},
-        backend,
+        shard_lanes,
         shard_seed(seed, shard_index),
     )
     return [stream.step_planes() for _ in range(steps)]
@@ -148,9 +144,8 @@ def check_lanes(
     mismatches: List[Dict[str, Any]] = []
     for shard_index, shard_lanes_list in sorted(by_shard.items()):
         shard_size = sizes[shard_index]
-        backend = make_backend(config.backend, shard_size)
         shard = FleetShard(
-            compiled, backend, spec, shard_seed(config.seed, shard_index)
+            compiled, shard_size, spec, shard_seed(config.seed, shard_index)
         )
         for _ in range(config.steps):
             shard.step()
@@ -181,11 +176,7 @@ def random_campaign(
     lanes: int = 64,
     steps: int = 40,
 ) -> Dict[str, Any]:
-    """Difftest-style campaign: random machines, random stimulus, all lanes.
-
-    Backends alternate per case (numpy every other case when importable)
-    so both plane representations stay under test.
-    """
+    """Difftest-style campaign: random machines, random stimulus, all lanes."""
     import random as _random
 
     from ..difftest.generator import CaseConfig, generate_case
@@ -203,14 +194,10 @@ def random_campaign(
             stim[event.name] = type(spec_cls)(
                 probability=probability, lo=spec_cls.lo, hi=spec_cls.hi
             )
-        backend = (
-            "numpy" if (index % 2 == 1 and numpy_available()) else "int"
-        )
         config = FleetConfig(
             instances=lanes,
             steps=steps,
             seed=seed + index,
-            backend=backend,
             lanes_per_shard=lanes,
             spec=StimulusSpec(events=stim),
         )
@@ -220,7 +207,6 @@ def random_campaign(
             failures.append(
                 {
                     "case": index,
-                    "backend": backend,
                     "mismatches": mismatches[:5],
                     "total_mismatches": len(mismatches),
                 }

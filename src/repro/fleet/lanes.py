@@ -1,198 +1,31 @@
-"""Bit-lane storage backends for fleet-scale batched simulation.
+"""Bit-lane planes for fleet-scale batched simulation.
 
-A *plane* holds one Boolean per fleet instance: bit ``i`` of the plane is
-the value for lane ``i``.  Evaluating a compiled reaction kernel then
-becomes a straight-line sequence of ``&``/``|``/``^`` operations on
-planes — SIMD-within-a-register over the whole fleet at once.
+A *plane* holds one Boolean per fleet instance as a plain Python int:
+bit ``i`` of the plane is the value for lane ``i``.  Evaluating a
+compiled reaction kernel then becomes a straight-line sequence of
+``&``/``|``/``^`` operations on planes — SIMD-within-a-register over the
+whole fleet at once, where CPython's big-int bitwise ops run one C loop
+over thousands of lanes.
 
-Two interchangeable backends implement the plane representation:
-
-* :class:`IntBackend` — one arbitrary-precision Python int per plane.
-  Zero dependencies, and CPython's big-int bitwise ops already run at
-  memory bandwidth for thousands of lanes per word.
-* :class:`NumpyBackend` — one ``uint64`` array per plane (lane ``i`` is
-  bit ``i % 64`` of word ``i // 64``).  Auto-selected for large fleets
-  when numpy is importable; the container never *requires* numpy.
-
-Both backends expose the same tiny surface (mask/zero planes, int
-round-trip, popcount, lane extraction) and — crucially — both support
-Python's native ``&``/``|``/``^`` operators on their plane objects, so
-the *same* generated kernel source runs unchanged on either.  Random
-planes are always drawn through :func:`random.Random.getrandbits` and
-converted, which makes runs byte-identical across backends.
-
-The complement of a plane is always computed as ``plane ^ ones`` (never
-``~plane``): it keeps int planes non-negative and numpy tail bits beyond
-the last lane zero, so popcounts and digests need no re-masking.
+A block of ``n`` lanes has the lane mask ``(1 << n) - 1``.  The
+complement of a plane is always computed as ``plane ^ mask`` (never
+``~plane``): it keeps planes non-negative and free of bits beyond the
+last lane, so popcounts and digests need no re-masking.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, List, Optional
+from typing import List, Optional
 
-__all__ = [
-    "Backend",
-    "IntBackend",
-    "NumpyBackend",
-    "LaneCounter",
-    "make_backend",
-    "numpy_available",
-    "select",
-]
-
-Plane = Any  # int (IntBackend) or numpy.ndarray[uint64] (NumpyBackend)
+__all__ = ["LaneCounter", "select"]
 
 
-def select(cond: Plane, then: Plane, other: Plane) -> Plane:
+def select(cond: int, then: int, other: int) -> int:
     """Lane-wise multiplexer: ``then`` where ``cond`` is set, else ``other``.
 
-    ``f ^ ((f ^ t) & c)`` — two XORs and one AND, valid on both backends.
+    ``f ^ ((f ^ t) & c)`` — two XORs and one AND.
     """
     return other ^ ((other ^ then) & cond)
-
-
-class Backend:
-    """Shared interface of the plane backends (``n`` = number of lanes)."""
-
-    name = "abstract"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("a fleet needs at least one lane")
-        self.n = n
-
-    # -- plane constructors -------------------------------------------------
-
-    @property
-    def zero(self) -> Plane:
-        raise NotImplementedError
-
-    @property
-    def ones(self) -> Plane:
-        raise NotImplementedError
-
-    def from_int(self, value: int) -> Plane:
-        """Plane whose lane ``i`` is bit ``i`` of ``value``."""
-        raise NotImplementedError
-
-    def to_int(self, plane: Plane) -> int:
-        """Inverse of :meth:`from_int` (canonical, backend-independent)."""
-        raise NotImplementedError
-
-    def rand_plane(self, rng: random.Random) -> Plane:
-        """A uniformly random plane, identical across backends per rng state."""
-        return self.from_int(rng.getrandbits(self.n))
-
-    # -- observation --------------------------------------------------------
-
-    def popcount(self, plane: Plane) -> int:
-        raise NotImplementedError
-
-    def is_zero(self, plane: Plane) -> bool:
-        raise NotImplementedError
-
-    def lane_bit(self, plane: Plane, lane: int) -> int:
-        raise NotImplementedError
-
-
-class IntBackend(Backend):
-    """Planes as arbitrary-precision Python ints (bit ``i`` = lane ``i``)."""
-
-    name = "int"
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._ones = (1 << n) - 1
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def ones(self) -> int:
-        return self._ones
-
-    def from_int(self, value: int) -> int:
-        return value & self._ones
-
-    def to_int(self, plane: int) -> int:
-        return plane & self._ones
-
-    def popcount(self, plane: int) -> int:
-        return (plane & self._ones).bit_count()
-
-    def is_zero(self, plane: int) -> bool:
-        return plane == 0
-
-    def lane_bit(self, plane: int, lane: int) -> int:
-        return (plane >> lane) & 1
-
-
-def numpy_available() -> bool:
-    try:  # pragma: no cover - trivial
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - environment-dependent
-        return False
-    return True
-
-
-class NumpyBackend(Backend):
-    """Planes as little-endian ``uint64`` words (lane ``i`` = bit ``i % 64``
-    of word ``i // 64``); tail bits beyond lane ``n - 1`` stay zero."""
-
-    name = "numpy"
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        import numpy
-
-        self._np = numpy
-        self.words = (n + 63) // 64
-        self._zero = numpy.zeros(self.words, dtype=numpy.uint64)
-        ones = numpy.full(self.words, ~numpy.uint64(0), dtype=numpy.uint64)
-        tail = n % 64
-        if tail:
-            ones[-1] = numpy.uint64((1 << tail) - 1)
-        self._ones = ones
-
-    @property
-    def zero(self) -> Any:
-        return self._zero.copy()
-
-    @property
-    def ones(self) -> Any:
-        return self._ones.copy()
-
-    def from_int(self, value: int) -> Any:
-        value &= (1 << self.n) - 1
-        data = value.to_bytes(self.words * 8, "little")
-        return self._np.frombuffer(data, dtype=self._np.uint64).copy()
-
-    def to_int(self, plane: Any) -> int:
-        return int.from_bytes(plane.tobytes(), "little") & ((1 << self.n) - 1)
-
-    def popcount(self, plane: Any) -> int:
-        return int(self._np.bitwise_count(plane).sum())
-
-    def is_zero(self, plane: Any) -> bool:
-        return not plane.any()
-
-    def lane_bit(self, plane: Any, lane: int) -> int:
-        return int(plane[lane // 64] >> self._np.uint64(lane % 64)) & 1
-
-
-def make_backend(name: str, n: int) -> Backend:
-    """``"int"``, ``"numpy"``, or ``"auto"`` (numpy when importable)."""
-    if name == "int":
-        return IntBackend(n)
-    if name == "numpy":
-        if not numpy_available():
-            raise RuntimeError("numpy backend requested but numpy is not importable")
-        return NumpyBackend(n)
-    if name == "auto":
-        return NumpyBackend(n) if numpy_available() else IntBackend(n)
-    raise ValueError(f"unknown fleet backend {name!r}")
 
 
 class LaneCounter:
@@ -204,45 +37,31 @@ class LaneCounter:
     when some lane's count crosses a power of two.
     """
 
-    def __init__(self, backend: Backend):
-        self.backend = backend
-        self.planes: List[Plane] = []
+    def __init__(self, lanes: int):
+        self.n = lanes
+        self.planes: List[int] = []
 
-    def add(self, plane: Plane) -> None:
-        backend = self.backend
-        if backend.is_zero(plane):
+    def add(self, plane: int) -> None:
+        if not plane:
             return
         carry = plane
         for i, p in enumerate(self.planes):
             self.planes[i] = p ^ carry
             carry = p & carry
-            if backend.is_zero(carry):
+            if not carry:
                 return
         self.planes.append(carry)
 
     def lane(self, lane: int) -> int:
         """The count of one lane."""
-        value = 0
-        for i, plane in enumerate(self.planes):
-            value |= self.backend.lane_bit(plane, lane) << i
-        return value
+        return sum(((p >> lane) & 1) << i for i, p in enumerate(self.planes))
 
     def total(self) -> int:
         """Sum of all lane counts."""
-        return sum(
-            self.backend.popcount(plane) << i
-            for i, plane in enumerate(self.planes)
-        )
-
-    def to_ints(self) -> List[int]:
-        """Canonical plane dump (for digests), LSB first."""
-        return [self.backend.to_int(plane) for plane in self.planes]
+        # bin().count rather than int.bit_count, which needs Python 3.10.
+        return sum(bin(p).count("1") << i for i, p in enumerate(self.planes))
 
     def lanes(self, count: Optional[int] = None) -> List[int]:
         """Counts of the first ``count`` lanes (all lanes by default)."""
-        n = self.backend.n if count is None else count
-        ints = self.to_ints()
-        return [
-            sum(((p >> lane) & 1) << i for i, p in enumerate(ints))
-            for lane in range(n)
-        ]
+        n = self.n if count is None else count
+        return [self.lane(lane) for lane in range(n)]

@@ -39,7 +39,7 @@ from ..obs.context import TraceContext
 from ..pipeline.parallel import make_executor
 from ..pipeline.trace import BuildTrace, TraceEvent
 from .kernel import CompiledNetwork, compile_network
-from .lanes import Backend, LaneCounter, make_backend, select
+from .lanes import LaneCounter, select
 from .stimulus import StimulusSpec, StimulusStream, default_spec, shard_seed
 
 __all__ = [
@@ -61,13 +61,15 @@ class FleetConfig:
     steps: int = 100
     seed: int = 0
     jobs: int = 1
-    backend: str = "auto"  # "auto" | "int" | "numpy"
     lanes_per_shard: int = DEFAULT_LANES_PER_SHARD
     spec: Optional[StimulusSpec] = None
 
     def shard_sizes(self) -> List[int]:
+        """Lanes of each shard; raises ``ValueError`` on impossible sizes."""
         if self.instances < 1:
             raise ValueError("a fleet needs at least one instance")
+        if self.steps < 0:
+            raise ValueError("steps must not be negative")
         if self.lanes_per_shard < 1:
             raise ValueError("lanes_per_shard must be positive")
         sizes = []
@@ -79,97 +81,93 @@ class FleetConfig:
 
 
 class FleetShard:
-    """Simulation state of one lane block, as planes."""
+    """Simulation state of one block of ``lanes`` lanes, as int planes."""
 
     def __init__(
         self,
         compiled: CompiledNetwork,
-        backend: Backend,
+        lanes: int,
         spec: StimulusSpec,
         seed: int,
     ):
         self.compiled = compiled
-        self.backend = backend
-        zero = backend.zero
+        self.lanes = lanes
+        self.mask = mask = (1 << lanes) - 1
         self.stream = StimulusStream(
-            spec, _env_input_widths(compiled), backend, seed
+            spec, _env_input_widths(compiled), lanes, seed
         )
 
-        self.states: List[Dict[str, List[Any]]] = []
-        self.flags: List[Dict[str, Any]] = []
+        self.states: List[Dict[str, List[int]]] = []
+        self.flags: List[Dict[str, int]] = []
         for machine in compiled.machines:
             state = {}
             for name, _, bits, init in machine.state_specs:
                 state[name] = [
-                    backend.ones if (init >> b) & 1 else backend.zero
-                    for b in range(bits)
+                    mask if (init >> b) & 1 else 0 for b in range(bits)
                 ]
             self.states.append(state)
-            self.flags.append({e: zero for e in machine.input_events})
-        self.runnable: List[Any] = [zero for _ in compiled.machines]
-        self.buffers: Dict[str, List[Any]] = {
-            name: [zero] * width for name, width in compiled.event_widths.items()
+            self.flags.append({e: 0 for e in machine.input_events})
+        self.runnable: List[int] = [0 for _ in compiled.machines]
+        self.buffers: Dict[str, List[int]] = {
+            name: [0] * width for name, width in compiled.event_widths.items()
         }
         # One-hot round-robin cursor, all lanes starting at machine 0.
-        self.cursor: List[Any] = [
-            backend.ones if j == 0 else zero
-            for j in range(len(compiled.machines))
+        self.cursor: List[int] = [
+            mask if j == 0 else 0 for j in range(len(compiled.machines))
         ]
-        self.lost = LaneCounter(backend)
-        self.reactions = LaneCounter(backend)
+        self.lost = LaneCounter(lanes)
+        self.reactions = LaneCounter(lanes)
         self.env_emitted: Dict[str, LaneCounter] = {
-            name: LaneCounter(backend) for name in compiled.env_outputs
+            name: LaneCounter(lanes) for name in compiled.env_outputs
         }
 
     # -- one synchronized scalar step per lane -------------------------------
 
     def step(self) -> None:
-        backend = self.backend
-        ones = backend.ones
+        mask = self.mask
 
         # 1. stimulus injection (the scalar replay injects, then steps).
         for name, presence, values in self.stream.step_planes():
-            if backend.is_zero(presence):
-                continue
-            self._deliver(name, presence, values)
+            if presence:
+                self._deliver(name, presence, values)
 
         # 2. per-lane round-robin pick.
         machines = self.compiled.machines
         count = len(machines)
         enabled = list(self.runnable)
-        pick = [backend.zero] * count
+        pick = [0] * count
         for c in range(count):
             prefix = self.cursor[c]
-            if backend.is_zero(prefix):
+            if not prefix:
                 continue
             for offset in range(count):
                 j = (c + offset) % count
                 take = prefix & enabled[j]
-                if not backend.is_zero(take):
+                if take:
                     pick[j] = pick[j] | take
-                    prefix = prefix & (enabled[j] ^ ones)
-                    if backend.is_zero(prefix):
+                    prefix = prefix & (enabled[j] ^ mask)
+                    if not prefix:
                         break
-        any_pick = backend.zero
+        any_pick = 0
         for j in range(count):
             any_pick = any_pick | pick[j]
-        if backend.is_zero(any_pick):
+        if not any_pick:
             return
-        idle = any_pick ^ ones
+        idle = any_pick ^ mask
         new_cursor = [plane & idle for plane in self.cursor]
         for j in range(count):
             new_cursor[(j + 1) % count] = new_cursor[(j + 1) % count] | pick[j]
         self.cursor = new_cursor
         for j in range(count):
-            self.runnable[j] = self.runnable[j] & (pick[j] ^ ones)
+            self.runnable[j] = self.runnable[j] & (pick[j] ^ mask)
         self.reactions.add(any_pick)
 
         # 3. reactions: disjoint pick planes let kernels run sequentially.
         for j, machine in enumerate(machines):
             run = pick[j]
-            if backend.is_zero(run):
+            if not run:
                 continue
-            args = [backend.zero, ones, run]
+            args = [0, mask, run]
             flags = self.flags[j]
             state = self.states[j]
             args.extend(flags[name] for name in machine.input_events)
@@ -188,16 +186,16 @@ class FleetShard:
             for name, valued in machine.output_events:
                 emit = out[idx]
                 idx += 1
-                values: Optional[List[Any]] = None
+                values: Optional[List[int]] = None
                 if valued:
                     width = self.compiled.event_widths[name]
                     values = list(out[idx : idx + width])
                     idx += width
-                if not backend.is_zero(emit):
+                if emit:
                     self._deliver(name, emit, values)
 
     def _deliver(
-        self, name: str, presence: Any, values: Optional[List[Any]]
+        self, name: str, presence: int, values: Optional[List[int]]
     ) -> None:
         """Plane-wise :meth:`NetworkSimulator._deliver`."""
         if values is not None:
@@ -220,12 +218,11 @@ class FleetShard:
 
     def snapshot_lane(self, lane: int) -> Dict[str, Any]:
         """Scalar observables of one lane, shaped like the reference sim."""
-        backend = self.backend
         machines: Dict[str, Any] = {}
         for j, machine in enumerate(self.compiled.machines):
             state = {
                 name: sum(
-                    backend.lane_bit(plane, lane) << b
+                    ((plane >> lane) & 1) << b
                     for b, plane in enumerate(self.states[j][name])
                 )
                 for name, _, _, _ in machine.state_specs
@@ -233,20 +230,19 @@ class FleetShard:
             flags = sorted(
                 name
                 for name in machine.input_events
-                if backend.lane_bit(self.flags[j][name], lane)
+                if (self.flags[j][name] >> lane) & 1
             )
             machines[machine.name] = {
                 "state": state,
                 "flags": flags,
-                "runnable": bool(backend.lane_bit(self.runnable[j], lane)),
+                "runnable": bool((self.runnable[j] >> lane) & 1),
             }
         values = {}
         for name, planes in self.buffers.items():
             value = sum(
-                backend.lane_bit(plane, lane) << b
-                for b, plane in enumerate(planes)
+                ((plane >> lane) & 1) << b for b, plane in enumerate(planes)
             )
-            if planes and backend.lane_bit(planes[-1], lane):
+            if planes and (planes[-1] >> lane) & 1:
                 value -= 1 << len(planes)
             values[name] = value
         return {
@@ -263,10 +259,10 @@ class FleetShard:
     def digest(self) -> str:
         """Canonical digest of the full shard state (determinism checks)."""
         h = hashlib.sha256()
+        size = (self.lanes + 7) // 8
 
-        def feed(plane: Any) -> None:
-            value = self.backend.to_int(plane)
-            h.update(value.to_bytes((self.backend.n + 7) // 8, "little"))
+        def feed(plane: int) -> None:
+            h.update(plane.to_bytes(size, "little"))
 
         for j, machine in enumerate(self.compiled.machines):
             for name, _, _, _ in machine.state_specs:
@@ -333,10 +329,9 @@ class FleetShardTask:
                 span = stack.enter_context(
                     trace.span(f"shard-{self.shard_index:03d}", "fleet.shard")
                 )
-            backend = make_backend(self.config.backend, self.lanes)
             shard = FleetShard(
                 self.compiled,
-                backend,
+                self.lanes,
                 self.spec,
                 shard_seed(self.config.seed, self.shard_index),
             )
@@ -349,7 +344,6 @@ class FleetShardTask:
                     {
                         "lanes": self.lanes,
                         "steps": self.config.steps,
-                        "backend": backend.name,
                         "fleet_reactions": reactions,
                         "fleet_lost_events": lost,
                     }
@@ -402,6 +396,7 @@ def run_fleet(
     simulation.
     """
     started = time.monotonic()
+    sizes = config.shard_sizes()
     spec = config.spec if config.spec is not None else default_spec(network)
     spec.validate(network)
     if compiled is None:
@@ -430,7 +425,7 @@ def run_fleet(
                     else None
                 ),
             )
-            for i, lanes in enumerate(config.shard_sizes())
+            for i, lanes in enumerate(sizes)
         ]
         outcomes: List[FleetShardOutcome] = executor.run(tasks)
         if trace is not None:
@@ -465,7 +460,6 @@ def run_fleet(
         "steps": config.steps,
         "seed": config.seed,
         "jobs": config.jobs,
-        "backend": config.backend,
         "lanes_per_shard": config.lanes_per_shard,
         "shards": len(outcomes),
         "kernel_ops": compiled.op_count,

@@ -9,9 +9,8 @@ instances costs a handful of big-int draws, not 4096 RNG calls.
 Determinism contract (load-bearing for the cross-check and the
 ``--jobs`` invariance tests):
 
-* planes are always drawn as Python ints via
-  :meth:`random.Random.getrandbits` and converted through the backend,
-  so the int and numpy backends see byte-identical streams;
+* each plane is one :meth:`random.Random.getrandbits` draw over the
+  shard's lanes, so the stream is a pure function of its seed;
 * lanes are partitioned into fixed blocks of ``lanes_per_shard``
   **independent of the worker count**, and each shard's stream is seeded
   from ``(seed, shard_index)`` alone — splitting the same fleet over 1
@@ -34,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cfsm.network import Network
-from .lanes import Backend, Plane, select
 
 __all__ = [
     "EventStimulus",
@@ -143,37 +141,34 @@ def load_spec(path: str, network: Network) -> StimulusSpec:
     return spec
 
 
-def _lt_const(backend: Backend, planes: List[Plane], threshold: int) -> Plane:
+def _lt_const(planes: List[int], threshold: int, mask: int) -> int:
     """Plane of lanes whose ``len(planes)``-bit value is ``< threshold``."""
     bits = len(planes)
     if threshold <= 0:
-        return backend.zero
+        return 0
     if threshold >= (1 << bits):
-        return backend.ones
-    ones = backend.ones
-    lt = backend.zero
-    eq = ones
+        return mask
+    lt = 0
+    eq = mask
     for i in reversed(range(bits)):
         if (threshold >> i) & 1:
-            lt = lt | (eq & (planes[i] ^ ones))
+            lt = lt | (eq & (planes[i] ^ mask))
             eq = eq & planes[i]
         else:
-            eq = eq & (planes[i] ^ ones)
+            eq = eq & (planes[i] ^ mask)
     return lt
 
 
 def _add_const(
-    backend: Backend, planes: List[Plane], value: int, width: int
-) -> List[Plane]:
+    planes: List[int], value: int, width: int, mask: int
+) -> List[int]:
     """Ripple-add a non-negative constant onto unsigned value planes."""
-    ones = backend.ones
-    zero = backend.zero
-    carry = zero
+    carry = 0
     out = []
     for i in range(width):
-        p = planes[i] if i < len(planes) else zero
+        p = planes[i] if i < len(planes) else 0
         if (value >> i) & 1:
-            out.append(p ^ carry ^ ones)
+            out.append(p ^ carry ^ mask)
             carry = p | carry
         else:
             out.append(p ^ carry)
@@ -193,10 +188,11 @@ class StimulusStream:
         self,
         spec: StimulusSpec,
         widths: Dict[str, Optional[int]],
-        backend: Backend,
+        lanes: int,
         seed: int,
     ):
-        self.backend = backend
+        self.lanes = lanes
+        self.mask = (1 << lanes) - 1
         self._rng = random.Random(seed)
         self._events: List[Tuple[str, Optional[int], int, int, int]] = []
         for name in sorted(spec.events):
@@ -213,25 +209,19 @@ class StimulusStream:
 
     def step_planes(
         self,
-    ) -> List[Tuple[str, Plane, Optional[List[Plane]]]]:
+    ) -> List[Tuple[str, int, Optional[List[int]]]]:
         """``(event, presence plane, value planes | None)`` per event."""
-        backend = self.backend
-        rng = self._rng
+        lanes, mask = self.lanes, self.mask
+        draw = self._rng.getrandbits
         out = []
         for name, width, threshold, lo, value_bits in self._events:
-            draws = [backend.rand_plane(rng) for _ in range(_PROB_BITS)]
-            presence = _lt_const(backend, draws, threshold)
-            values: Optional[List[Plane]] = None
+            draws = [draw(lanes) for _ in range(_PROB_BITS)]
+            presence = _lt_const(draws, threshold, mask)
+            values: Optional[List[int]] = None
             if width is not None:
-                planes = [backend.rand_plane(rng) for _ in range(value_bits)]
+                planes = [draw(lanes) for _ in range(value_bits)]
                 # Buffers are signed and injected values non-negative, so
                 # zero-extend to the buffer width (width + 1 planes).
-                values = _add_const(backend, planes, lo, width + 1)
+                values = _add_const(planes, lo, width + 1, mask)
             out.append((name, presence, values))
         return out
-
-    def lane_value(self, values: List[Plane], lane: int) -> int:
-        """Scalar value a lane reads from the value planes (non-negative)."""
-        return sum(
-            self.backend.lane_bit(p, lane) << i for i, p in enumerate(values)
-        )

@@ -275,7 +275,6 @@ def _handle_fleet(params, cache, trace) -> Dict[str, Any]:
         steps=int(params.get("steps", 100)),
         seed=int(params.get("seed", 0)),
         jobs=1,
-        backend=params.get("backend", "auto"),
         lanes_per_shard=int(
             params.get("lanes_per_shard", DEFAULT_LANES_PER_SHARD)
         ),

@@ -2,8 +2,7 @@
 
 The load-bearing contract: every lane of a batched run is bit-for-bit
 the trajectory the scalar :class:`NetworkSimulator` produces under the
-same stimulus — and the result is invariant under ``--jobs`` and the
-plane backend.
+same stimulus — and the result is invariant under ``--jobs``.
 """
 
 import pytest
@@ -16,14 +15,9 @@ from repro.fleet import (
     check_lanes,
     compile_network,
     default_spec,
-    numpy_available,
     random_campaign,
     run_fleet,
     shard_seed,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable"
 )
 
 
@@ -39,15 +33,7 @@ def compiled(dashboard):
 
 class TestLaneExactness:
     def test_every_dashboard_lane_matches_scalar(self, dashboard, compiled):
-        config = FleetConfig(instances=48, steps=30, seed=7, backend="int")
-        mismatches = check_lanes(
-            dashboard, config, range(48), compiled=compiled
-        )
-        assert mismatches == []
-
-    @needs_numpy
-    def test_numpy_lanes_match_scalar(self, dashboard, compiled):
-        config = FleetConfig(instances=48, steps=30, seed=7, backend="numpy")
+        config = FleetConfig(instances=48, steps=30, seed=7)
         mismatches = check_lanes(
             dashboard, config, range(48), compiled=compiled
         )
@@ -73,7 +59,7 @@ class TestDeterminism:
         for jobs in (1, 4):
             config = FleetConfig(
                 instances=96, steps=25, seed=11, jobs=jobs,
-                backend="int", lanes_per_shard=32,
+                lanes_per_shard=32,
             )
             results[jobs] = run_fleet(dashboard, config, compiled=compiled)
         assert results[1]["digest"] == results[4]["digest"]
@@ -98,17 +84,28 @@ class TestDeterminism:
         ]
         assert runs[0]["digest"] != runs[1]["digest"]
 
-    @needs_numpy
-    def test_backends_are_digest_identical(self, dashboard, compiled):
-        digests = {}
-        for backend in ("int", "numpy"):
-            config = FleetConfig(
-                instances=70, steps=25, seed=9, backend=backend
-            )
-            digests[backend] = run_fleet(
-                dashboard, config, compiled=compiled
-            )["digest"]
-        assert digests["int"] == digests["numpy"]
+    @pytest.mark.parametrize(
+        "instances, steps, lanes_per_shard, digest",
+        [
+            # BENCH_sim.json's determinism digest (full bench).
+            (4096, 200, 1024, "16a19bbbe4cc060af90d9467c96ed743"
+                              "bc80056b99970387a2ed9ee3f0aa60d4"),
+            # The smoke bench's digest (benchmarks/results/fleet_sim.txt).
+            (1024, 50, 256, "14b2cd2cb0f5ea55df160c1558432bd3"
+                            "63f3aaa388dc02fec9c37920a99e73b2"),
+        ],
+    )
+    def test_digest_is_pinned(
+        self, dashboard, compiled, instances, steps, lanes_per_shard, digest
+    ):
+        """Kernels, stimulus streams and the digest encoding must not
+        drift: each digest is a committed bench figure."""
+        config = FleetConfig(
+            instances=instances, steps=steps, seed=0, jobs=1,
+            lanes_per_shard=lanes_per_shard,
+        )
+        summary = run_fleet(dashboard, config, compiled=compiled)
+        assert summary["digest"] == digest
 
     def test_shard_seed_mix(self):
         seeds = {shard_seed(0, i) for i in range(100)}
@@ -214,3 +211,36 @@ class TestCli:
         from repro.cli import main
 
         assert main(["fleet"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, stimulus, message",
+        [
+            (["--instances", "0"], None, "at least one instance"),
+            (["--lanes-per-shard", "0"], None, "lanes_per_shard"),
+            (["--steps", "-5"], None, "steps must not be negative"),
+            ([], {"nope": {"p": 0.5}}, "not an environment input"),
+            ([], {"fsample": {"p": 0.5, "lo": 0, "hi": 2}}, "power of two"),
+            (["--stimulus", "missing.json"], None, "missing.json"),
+        ],
+    )
+    def test_fleet_command_rejects_bad_input(
+        self, capsys, tmp_path, monkeypatch, flags, stimulus, message
+    ):
+        """Bad sizes and stimulus files end in one stderr line, exit 2."""
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        if stimulus is not None:
+            (tmp_path / "stim.json").write_text(
+                json.dumps({"events": stimulus})
+            )
+            flags = flags + ["--stimulus", "stim.json"]
+        code = main(["fleet", "--app", "dashboard", "--steps", "2"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro fleet: ")
+        assert message in lines[0]

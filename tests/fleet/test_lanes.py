@@ -1,105 +1,54 @@
-"""Plane backends: int vs numpy representations must be interchangeable."""
+"""Int planes: lane extraction, the lane mask, select, lane counters."""
 
 import random
 
 import pytest
 
-from repro.fleet import (
-    IntBackend,
-    LaneCounter,
-    NumpyBackend,
-    make_backend,
-    numpy_available,
-    select,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable"
-)
-
-
-def backends(n):
-    yield IntBackend(n)
-    if numpy_available():
-        yield NumpyBackend(n)
+from repro.fleet import LaneCounter, select
 
 
 class TestBackends:
+    """The plane representation: bit ``i`` of a Python int is lane ``i``."""
+
     @pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
     def test_int_round_trip(self, n):
+        """One count per set lane reads back lane by lane and in total."""
         rng = random.Random(n)
         value = rng.getrandbits(n)
-        for backend in backends(n):
-            plane = backend.from_int(value)
-            assert backend.to_int(plane) == value
-            assert backend.popcount(plane) == bin(value).count("1")
-            for lane in (0, n - 1, n // 2):
-                assert backend.lane_bit(plane, lane) == (value >> lane) & 1
+        counter = LaneCounter(n)
+        counter.add(value)
+        assert counter.total() == bin(value).count("1")
+        assert counter.lanes() == [(value >> lane) & 1 for lane in range(n)]
+        for lane in (0, n - 1, n // 2):
+            assert counter.lane(lane) == (value >> lane) & 1
 
     @pytest.mark.parametrize("n", [3, 64, 130])
     def test_ones_is_all_lanes(self, n):
-        for backend in backends(n):
-            assert backend.to_int(backend.ones) == (1 << n) - 1
-            assert backend.to_int(backend.zero) == 0
-            assert backend.is_zero(backend.zero)
-            assert not backend.is_zero(backend.ones)
-
-    def test_rand_plane_is_backend_independent(self):
-        """Planes are drawn as Python ints, so the int and numpy streams
-        are byte-identical for the same seed."""
-        if not numpy_available():
-            pytest.skip("numpy not importable")
-        n = 97
-        draws_int = [
-            IntBackend(n).rand_plane(random.Random(5)) for _ in range(1)
-        ]
-        np_backend = NumpyBackend(n)
-        draws_np = [np_backend.rand_plane(random.Random(5)) for _ in range(1)]
-        assert draws_int[0] == np_backend.to_int(draws_np[0])
-
-    @needs_numpy
-    def test_numpy_ops_match_int_ops(self):
-        n = 150
-        rng = random.Random(9)
-        a_val, b_val = rng.getrandbits(n), rng.getrandbits(n)
-        ib, nb = IntBackend(n), NumpyBackend(n)
-        ia, ibv = ib.from_int(a_val), ib.from_int(b_val)
-        na, nbv = nb.from_int(a_val), nb.from_int(b_val)
-        assert nb.to_int(na & nbv) == ib.to_int(ia & ibv)
-        assert nb.to_int(na | nbv) == ib.to_int(ia | ibv)
-        assert nb.to_int(na ^ nbv) == ib.to_int(ia ^ ibv)
-        # Complement is always plane ^ ones (never ~): tail bits stay 0.
-        assert nb.to_int(na ^ nb.ones) == ib.to_int(ia ^ ib.ones)
-
-    def test_make_backend(self):
-        assert isinstance(make_backend("int", 8), IntBackend)
-        if numpy_available():
-            assert isinstance(make_backend("numpy", 8), NumpyBackend)
-            assert isinstance(make_backend("auto", 8), NumpyBackend)
-        else:
-            assert isinstance(make_backend("auto", 8), IntBackend)
-        with pytest.raises(ValueError):
-            make_backend("gpu", 8)
+        """Complement is ``p ^ mask``: non-negative, no bits past lane n-1."""
+        mask = (1 << n) - 1
+        plane = random.Random(n).getrandbits(n)
+        assert plane ^ mask == mask - plane
+        assert (plane ^ mask) >> n == 0
+        assert (0 ^ mask) == mask and (mask ^ mask) == 0
+        assert select(mask, plane, 0) == plane
+        assert select(0, plane, mask) == mask
 
 
 class TestSelect:
     def test_select_muxes_per_lane(self):
-        for backend in backends(8):
-            cond = backend.from_int(0b10101010)
-            then = backend.from_int(0b11110000)
-            other = backend.from_int(0b00111100)
-            got = backend.to_int(select(cond, then, other))
-            assert got == 0b10110100
+        got = select(0b10101010, 0b11110000, 0b00111100)
+        assert got == 0b10110100
 
 
 class TestLaneCounter:
     def test_counts_per_lane_and_total(self):
-        for backend in backends(6):
-            counter = LaneCounter(backend)
-            counter.add(backend.from_int(0b111111))
-            counter.add(backend.from_int(0b101010))
-            counter.add(backend.from_int(0b100010))
-            assert [counter.lane(i) for i in range(6)] == [1, 3, 1, 2, 1, 3]
-            assert counter.total() == 11
-            # to_ints dumps the raw planes (digest material), LSB first.
-            assert len(counter.to_ints()) == 2
+        counter = LaneCounter(6)
+        counter.add(0b111111)
+        counter.add(0b101010)
+        counter.add(0b100010)
+        counter.add(0)
+        assert [counter.lane(i) for i in range(6)] == [1, 3, 1, 2, 1, 3]
+        assert counter.lanes() == [1, 3, 1, 2, 1, 3]
+        assert counter.total() == 11
+        # The raw planes are the digest material, LSB first.
+        assert len(counter.planes) == 2

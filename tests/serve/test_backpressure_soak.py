@@ -125,6 +125,16 @@ class TestBackpressure:
                 # The connection and daemon survive the bad request.
                 assert c.ping()["status"] == STATUS_OK
 
+    def test_negative_fleet_steps_is_an_error(self):
+        config = ServeConfig(jobs=1, queue_depth=2, trace_requests=False)
+        with serve_in_thread(config) as handle:
+            with ServeClient(port=handle.port) as c:
+                response = c.request(
+                    "fleet", {"app": "abp", "instances": 8, "steps": -5}
+                )
+                assert response["status"] == "error"
+                assert "steps must not be negative" in response["error"]
+
 
 @pytest.mark.slow
 def test_soak_leaves_no_residue(tmp_path):
