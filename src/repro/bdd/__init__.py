@@ -7,6 +7,9 @@ Public surface:
   edges (handles are plain ints, NOT is a bit flip), refcounted GC,
   swap-stable operation caches, iterative ITE, cube quantification (see
   DESIGN.md §5, "The BDD kernel");
+* :class:`~repro.bdd.manager.SizeProbe` — a function's ``size()`` after
+  level swaps, recounting only the swapped levels (the synthesis flow's
+  sift metric);
 * :class:`~repro.bdd.mdd.MultiValuedVar` — finite-domain variables encoded on
   binary variable groups;
 * :func:`~repro.bdd.sifting.sift` / :func:`~repro.bdd.sifting.sift_to_convergence`
@@ -15,7 +18,7 @@ Public surface:
 * :mod:`~repro.bdd.ordering` — static ordering heuristics for the ablations.
 """
 
-from .manager import BddManager, Function, FALSE_ID, TRUE_ID
+from .manager import BddManager, Function, SizeProbe, FALSE_ID, TRUE_ID
 from .mdd import MultiValuedVar
 from .ordering import appearance_order, apply_order, force_order
 from .sifting import (
@@ -28,6 +31,7 @@ from .sifting import (
 __all__ = [
     "BddManager",
     "Function",
+    "SizeProbe",
     "FALSE_ID",
     "TRUE_ID",
     "MultiValuedVar",

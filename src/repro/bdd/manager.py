@@ -33,7 +33,9 @@ the style of CUDD:
 * live/dead totals (and per-variable breakdowns) are maintained
   incrementally by every operation **including adjacent-level swaps**, so
   :meth:`live_node_count` is O(1) and the sifting loop never has to collect
-  just to read a size;
+  just to read a size; a :class:`SizeProbe` reads one function's semantic
+  size after swaps by recounting only the levels swapped since its
+  previous read;
 * the operation caches (ITE / restrict / quantification / support) are keyed
   by int edges.  Edges denote *functions*, and in-place level swaps relabel
   nodes without changing the function each edge denotes — so cached results
@@ -72,7 +74,7 @@ from typing import (
     Tuple,
 )
 
-__all__ = ["BddManager", "Function", "FALSE_ID", "TRUE_ID"]
+__all__ = ["BddManager", "Function", "SizeProbe", "FALSE_ID", "TRUE_ID"]
 
 # Terminal edges: both point at node slot 0; the complement bit alone
 # distinguishes them.  TRUE is the regular edge so that a positive cube's
@@ -234,6 +236,106 @@ class Function:
         return self.manager.iter_sat(self)
 
 
+class SizeProbe:
+    """``function.size()`` after level swaps, recounting only moved levels.
+
+    Sifting reads the size of one function after every block move
+    (Rudell); a full walk per read dominated the pass.  The probe caches,
+    per level ``L``, the number of reachable edges whose node sits at
+    ``L`` and the set of reachable non-terminal edges *entering* levels
+    ``>= L`` from above (children of reachable nodes above ``L``, or the
+    root).  A call after swaps recounts only from the highest to the
+    lowest level stamped since the previous call, starting from the
+    cached entry set of the highest.  The result is exactly what
+    :meth:`Function.size` returns, because:
+
+    * the semantic size at one level depends only on the function and on
+      which variables lie above that level, so a swap of levels ``L`` and
+      ``L + 1`` changes the counts at those two levels only;
+    * :meth:`BddManager.swap_levels` rewrites nodes in place, so an edge
+      entering the touched range from above keeps denoting the same
+      function; the set of edges entering the first level below the
+      range is unchanged too, because the same variables lie above it;
+    * slots freed during a pass stay quarantined until
+      :meth:`BddManager.collect`, and ``collect()`` frees only nodes
+      unreachable from the function, so a cached edge never aliases a
+      recycled slot.
+
+    A non-constant function reaches both terminal edges, so its size is
+    2 plus the per-level counts; a constant's size is 1.  The first call,
+    a call after :meth:`BddManager.new_var`, and a call that finds
+    ``swap_count`` lower than the previous call did count every level.
+    """
+
+    __slots__ = ("function", "_swaps", "_counts", "_entry", "_total")
+
+    def __init__(self, function: Function) -> None:
+        self.function = function
+        self._swaps = -1
+        self._counts: List[int] = []
+        self._entry: List[Set[int]] = []
+        self._total = 0
+
+    def __call__(self) -> int:
+        manager = self.function.manager
+        swaps = manager.swap_count
+        last = self._swaps
+        if swaps == last:
+            return self._total
+        self._swaps = swaps
+        stamps = manager._level_stamp
+        if last < 0 or swaps < last or len(stamps) != len(self._counts):
+            self._count_all(manager)
+        elif swaps == last + 1:
+            # One swap, the usual sifting step: its two levels.
+            top = stamps.index(swaps)
+            self._recount(manager, top, top + 1)
+        else:
+            touched = [level for level, s in enumerate(stamps) if s > last]
+            self._recount(manager, touched[0], touched[-1])
+        return self._total
+
+    def _count_all(self, manager: "BddManager") -> None:
+        """Count every level, starting from the root alone."""
+        root = self.function.id
+        levels = len(manager._level_stamp)
+        self._counts = [0] * levels
+        self._entry = [set() for _ in range(levels)]
+        if root < 2:
+            self._total = 1
+        else:
+            self._entry[0].add(root)
+            self._total = 2
+            self._recount(manager, 0, levels - 1)
+
+    def _recount(self, manager: "BddManager", top: int, bottom: int) -> None:
+        """Recount levels ``top..bottom`` from the cached entry set of ``top``."""
+        var_arr, lo_arr, hi_arr = manager._var, manager._lo, manager._hi
+        var_at = manager._var_at_level
+        counts, entry = self._counts, self._entry
+        total = self._total - sum(counts[top:bottom + 1])
+        frontier = entry[top]
+        for level in range(top, bottom):
+            var = var_at[level]
+            here = [e for e in frontier if var_arr[e >> 1] == var]
+            counts[level] = len(here)
+            below = frontier.difference(here)
+            for e in here:
+                nid = e >> 1
+                c = e & 1
+                child = lo_arr[nid] ^ c
+                if child > 1:
+                    below.add(child)
+                child = hi_arr[nid]
+                if child > 1:
+                    below.add(child ^ c)
+            frontier = entry[level + 1] = below
+        # The entry set below the range is unchanged: count, don't expand.
+        var = var_at[bottom]
+        counts[bottom] = len([e for e in frontier if var_arr[e >> 1] == var])
+        self._total = total + sum(counts[top:bottom + 1])
+
+
 class BddManager:
     """Owner of the node store, unique subtables, and variable order."""
 
@@ -282,9 +384,13 @@ class BddManager:
         self._quant_cache: Dict[Tuple[int, int, int], int] = {}
         self._support_cache: Dict[int, FrozenSet[int]] = {}
 
-        # Variable order bookkeeping.
+        # Variable order bookkeeping.  ``_level_stamp[level]`` is the
+        # ``swap_count`` of the last swap that touched the level, so a
+        # :class:`SizeProbe` can tell which levels moved since it last
+        # counted.
         self._level_of_var: List[int] = []
         self._var_at_level: List[int] = []
+        self._level_stamp: List[int] = []
         self._var_names: List[str] = []
 
         # Incremental liveness accounting (allocated = live + dead).
@@ -321,6 +427,7 @@ class BddManager:
         var = len(self._level_of_var)
         self._level_of_var.append(var)
         self._var_at_level.append(var)
+        self._level_stamp.append(self.swap_count)
         self._var_names.append(name if name is not None else f"v{var}")
         self._buckets.append([0] * _INITIAL_BUCKETS)
         self._count_of_var.append(0)
@@ -1545,6 +1652,8 @@ class BddManager:
         if not 0 <= level < self.num_vars - 1:
             raise ValueError(f"cannot swap level {level}")
         self.swap_count += 1
+        stamp = self._level_stamp
+        stamp[level] = stamp[level + 1] = self.swap_count
         x = self._var_at_level[level]
         y = self._var_at_level[level + 1]
         if interaction is not None:

@@ -17,9 +17,11 @@ Two extensions needed by the synthesis flow are provided here:
 
 A pass is engineered around the manager's incremental bookkeeping:
 
-* it garbage-collects **exactly once, up front** — afterwards every size
-  probe is the manager's O(1) :meth:`~repro.bdd.BddManager.live_node_count`
-  (or the caller's metric), never a collection;
+* it garbage-collects **exactly once, up front** — afterwards a size
+  probe never collects: the default metric is the manager's O(1)
+  :meth:`~repro.bdd.BddManager.live_node_count`, and the synthesis flow's
+  :class:`~repro.bdd.SizeProbe` recounts only the levels swapped since
+  its previous read;
 * the *interaction matrix* (variable pairs co-occurring in some live root's
   support) is computed once per pass and threaded into every
   ``swap_levels`` call, turning swaps of non-interacting pairs into pure
@@ -163,13 +165,18 @@ def sift(
     """One sifting pass over all variables (or groups); returns final size.
 
     Blocks are processed from largest node population to smallest; each is
-    moved through its admissible range of positions and frozen where the
-    total live-node count is minimal.  The search for one block aborts early
-    once the table grows past ``max_growth`` times the best size seen.
+    moved through its admissible range of positions and frozen where
+    ``metric()`` is minimal.  The search for one block aborts early once
+    the size grows past ``max_growth`` times the best size seen.
 
-    The pass performs exactly one :meth:`~repro.bdd.BddManager.collect`
-    (here, up front); every subsequent size probe rides on the manager's
-    incrementally-maintained counts.
+    ``metric`` defaults to the physical
+    :meth:`~repro.bdd.BddManager.live_node_count`, which the manager keeps
+    current across swaps, so each read is O(1).  The synthesis flow passes
+    a :class:`~repro.bdd.SizeProbe` of its characteristic function
+    instead: a read recounts only the levels swapped since the previous
+    one, and returns exactly that function's ``size()``.  The pass performs
+    exactly one :meth:`~repro.bdd.BddManager.collect` (here, up front); no
+    probe collects.
 
     ``profile`` (a :class:`repro.obs.SiftProfile`) receives one sample per
     block placement — the reorder-over-time trajectory.

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..bdd import BddManager, Function, PrecedenceConstraints, sift_to_convergence
+from ..bdd import (
+    BddManager,
+    Function,
+    PrecedenceConstraints,
+    SizeProbe,
+    sift_to_convergence,
+)
 from ..cfsm.machine import Action, AssignState, Cfsm, Emit
 from .encoding import FireFlag, ReactiveEncoding
 
@@ -120,8 +126,10 @@ class ReactiveFunction:
 
         "We heuristically optimize the size of this BDD by dynamic variable
         reordering, using the sift algorithm" — the metric is the size of
-        chi itself, which the s-graph mirrors.  ``profile`` (a
-        :class:`repro.obs.SiftProfile`) records the reorder trajectory.
+        chi itself, which the s-graph mirrors, read after every move by a
+        :class:`~repro.bdd.SizeProbe` that recounts only the swapped
+        levels.  ``profile`` (a :class:`repro.obs.SiftProfile`) records the
+        reorder trajectory.
         """
         constraints = self.strict_constraints() if strict else self.support_constraints()
         return sift_to_convergence(
@@ -129,7 +137,7 @@ class ReactiveFunction:
             constraints=constraints,
             groups=self.encoding.sifting_groups(),
             max_passes=max_passes,
-            metric=lambda: self.chi.size(),
+            metric=SizeProbe(self.chi),
             profile=profile,
         )
 

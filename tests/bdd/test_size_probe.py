@@ -1,0 +1,148 @@
+"""SizeProbe must return exactly ``Function.size()`` whatever moved in between."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.bdd import BddManager, SizeProbe, move_var_to_level, sift_to_convergence
+
+from .test_property import N_VARS, boolexprs, build_bdd
+
+# Variables of a second root ``g`` with a support disjoint from ``f``'s, so
+# a swap between one of them and one of ``f``'s variables takes the
+# interaction fast path.
+EXTRA_VARS = 3
+
+seeds = st.integers(min_value=0, max_value=2**30)
+
+
+def manager_with(tree):
+    m = BddManager()
+    for _ in range(N_VARS + EXTRA_VARS):
+        m.new_var()
+    f = build_bdd(tree, m)
+    g = m.var(N_VARS) & (m.var(N_VARS + 1) | ~m.var(N_VARS + 2))
+    return m, f, g
+
+
+def random_swaps(m, rng, count, interaction=None):
+    for _ in range(count):
+        m.swap_levels(rng.randrange(m.num_vars - 1), interaction=interaction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boolexprs(), seeds)
+def test_probe_equals_size_between_random_swaps(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    rng = random.Random(seed)
+    assert probe() == f.size()
+    for _ in range(25):
+        random_swaps(m, rng, rng.randint(0, 3))
+        assert probe() == f.size()
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolexprs(), seeds)
+def test_variable_moved_away_and_back(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    rng = random.Random(seed)
+    random_swaps(m, rng, 6)
+    assert probe() == f.size()
+    order = m.current_order()
+    var = rng.randrange(m.num_vars)
+    home = m.level_of(var)
+    move_var_to_level(m, var, rng.choice([0, m.num_vars - 1]))
+    move_var_to_level(m, var, home)
+    # The same order again, but the nodes the moves rebuilt sit in new slots.
+    assert m.current_order() == order
+    assert probe() == f.size()
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolexprs(), seeds)
+def test_interaction_fast_path_swaps(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    assert probe() == f.size()
+    interaction = m.interaction_pairs()
+    # f's last variable and g's first never share a root: a pure relabel.
+    m.swap_levels(N_VARS - 1, interaction=interaction)
+    assert m.swap_skips == 1
+    assert probe() == f.size()
+    rng = random.Random(seed)
+    for _ in range(15):
+        random_swaps(m, rng, rng.randint(1, 3), interaction=interaction)
+        assert probe() == f.size()
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolexprs(), seeds)
+def test_collect_between_probes(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    rng = random.Random(seed)
+    for _ in range(8):
+        random_swaps(m, rng, rng.randint(1, 4))
+        assert probe() == f.size()
+        random_swaps(m, rng, rng.randint(1, 4))
+        garbage = m.var(rng.randrange(m.num_vars)) ^ g
+        del garbage
+        m.collect()
+        # New nodes may take slots the collect just recycled.
+        h = g | m.var(rng.randrange(N_VARS))
+        random_swaps(m, rng, rng.randint(0, 2))
+        assert probe() == f.size()
+        del h
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolexprs(), seeds)
+def test_new_var_after_construction(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    rng = random.Random(seed)
+    random_swaps(m, rng, 4)
+    assert probe() == f.size()
+    var = m.new_var()
+    assert probe() == f.size()
+    move_var_to_level(m, var, rng.randrange(m.num_vars))
+    assert probe() == f.size()
+    random_swaps(m, rng, 5)
+    assert probe() == f.size()
+
+
+def sift_outcome(tree, metric_of, groups=None):
+    m, f, g = manager_with(tree)
+    probed = metric_of(f)
+    checks = []
+
+    def metric():
+        size = probed()
+        checks.append(size == f.size())
+        return size
+
+    final = sift_to_convergence(m, groups=groups, metric=metric)
+    assert checks and all(checks)
+    return m.current_order(), final, f.size(), m.swap_count
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolexprs())
+def test_sift_with_probe_matches_full_walk(tree):
+    for groups in (None, [[0, 1], [2, 3, 4], [N_VARS, N_VARS + 1]]):
+        with_probe = sift_outcome(tree, SizeProbe, groups)
+        with_walk = sift_outcome(tree, lambda f: (lambda: f.size()), groups)
+        assert with_probe == with_walk
+
+
+def test_constant_function():
+    m = BddManager()
+    for _ in range(3):
+        m.new_var()
+    probe = SizeProbe(m.true)
+    assert probe() == 1
+    m.swap_levels(0)
+    m.swap_levels(1)
+    assert probe() == m.true.size() == 1

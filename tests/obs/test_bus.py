@@ -11,7 +11,8 @@ def test_writer_appends_one_json_line_per_record(tmp_path):
     with bus.writer(2) as writer:
         writer.emit_event({"module": "m", "name": "n"})
         writer.emit_metric("hits", 3)
-    lines = open(bus.lane_path(2), encoding="utf-8").read().splitlines()
+    with open(bus.lane_path(2), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first["kind"] == "event" and first["lane"] == 2

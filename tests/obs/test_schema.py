@@ -181,9 +181,11 @@ class TestBddBenchValidation:
             doc = json.load(fh)
         assert validate_bdd_bench(doc) == []
         # The perf-trajectory contract: the stress scenario records the
-        # pre-overhaul baseline next to the measured run.
-        stress = doc["sift"]["stress"]
-        assert "baseline" in stress and "speedup" in stress
+        # pre-overhaul baseline next to the measured run, and the chi
+        # scenario (the synthesis flow's own sift) its full-walk baseline.
+        for name in ("stress", "chi"):
+            scenario = doc["sift"][name]
+            assert "baseline" in scenario and "speedup" in scenario, name
 
     def test_committed_reference_counters_are_valid(self):
         path = os.path.join(
