@@ -1,11 +1,11 @@
 """Observability overhead: instrumentation must be ~free when disabled.
 
-The runtime, the BDD engine, and the estimator carry permanent hooks for
-the observability layer (run traces, metrics, spans).  Every hook hides
-behind a single ``is not None`` / ``enabled`` check, so a plain run —
-no sinks attached — must stay within a few percent of an uninstrumented
-build.  This benchmark runs the shock-absorber cosimulation bare and with
-every sink attached, checks the attached run still returns *identical*
+The runtime and the BDD engine carry permanent hooks for the
+observability layer (run traces, metrics, sift profiles).  Every hook
+hides behind a single ``is not None`` check, so a plain run — no sinks
+attached — must stay within a few percent of an uninstrumented build.
+This benchmark runs the shock-absorber cosimulation bare and with every
+sink attached, checks the attached run still returns *identical*
 simulation results (observability never changes behavior), and records
 the wall-clock ratio.
 
@@ -17,8 +17,8 @@ Two entry points:
 * **report script** (``python benchmarks/bench_obs_overhead.py --json
   BENCH_obs.json``) — the machine-readable observability figures the
   ``obs-trace`` CI job feeds ``repro bench-history --check``: causal
-  build-trace overhead (obs-on vs obs-off wall clock), telemetry-bus
-  write+drain throughput, and merged ``--jobs 2`` trace shape/size.
+  build-trace overhead (obs-on vs obs-off wall clock) and merged
+  ``--jobs 2`` trace shape/size.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``): shorter scenario,
 fewer repeats.
@@ -128,19 +128,6 @@ def test_observability_is_inert_and_cheap(shock_net):
     assert ratio < MAX_ATTACHED_RATIO
 
 
-def test_disabled_tracer_span_is_nearly_free():
-    """The module tracer defaults to disabled; its span() must not allocate."""
-    from repro.obs import get_tracer
-
-    tracer = get_tracer()
-    assert not tracer.enabled
-    first = tracer.span("x")
-    second = tracer.span("y", a=1)
-    # Disabled spans are one shared object: no per-call allocation.
-    assert first is second
-    assert len(tracer.spans) == 0
-
-
 # ----------------------------------------------------------------------
 # report-script mode (BENCH_obs.json)
 # ----------------------------------------------------------------------
@@ -163,37 +150,6 @@ def _bench_build_overhead(repeats):
         "traced_wall_ms": round(traced * 1000, 3),
         "overhead_pct": round(overhead_pct, 2),
     }
-
-
-def _bench_bus_throughput(records):
-    """Write+drain throughput of the JSONL telemetry bus, records/second."""
-    import shutil
-    import tempfile
-
-    from repro.obs import TelemetryBus
-
-    root = tempfile.mkdtemp(prefix="repro-bench-bus-")
-    try:
-        bus = TelemetryBus(root)
-        event = {
-            "module": "bench", "name": "span", "kind": "stage",
-            "wall_ms": 1, "metrics": {"n": 1}, "status": "",
-        }
-        start = time.perf_counter()
-        for lane in range(1, 5):
-            with bus.writer(lane) as writer:
-                for _ in range(records // 4):
-                    writer.emit_event(event)
-        drained = bus.drain()
-        wall = time.perf_counter() - start
-        assert len(drained) == (records // 4) * 4
-        return {
-            "records": len(drained),
-            "wall_ms": round(wall * 1000, 3),
-            "records_per_sec": round(len(drained) / wall) if wall else 0,
-        }
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 def _bench_merged_trace():
@@ -219,12 +175,10 @@ def _bench_merged_trace():
 
 def run_report(smoke=False):
     repeats = 3 if smoke else 5
-    records = 2_000 if smoke else 20_000
     return {
         "format": "repro-obs-bench/v1",
         "smoke": smoke,
         "build": _bench_build_overhead(repeats),
-        "bus": _bench_bus_throughput(records),
         "trace": _bench_merged_trace(),
     }
 
@@ -250,11 +204,6 @@ def main(argv=None):
     print(
         f"  build: bare {build['bare_wall_ms']}ms, traced "
         f"{build['traced_wall_ms']}ms ({build['overhead_pct']:+.2f}%)"
-    )
-    bus = report["bus"]
-    print(
-        f"  bus: {bus['records']} records in {bus['wall_ms']}ms "
-        f"({bus['records_per_sec']}/s)"
     )
     shape = report["trace"]
     print(

@@ -578,35 +578,6 @@ class BddManager:
         self._count_of_var[var] -= 1
         self._allocated -= 1
 
-    def _link(self, var: int, nid: int) -> None:
-        """Insert ``nid`` (fields already set) into ``var``'s subtable."""
-        buckets = self._buckets[var]
-        mask = len(buckets) - 1
-        slot = (
-            (self._lo[nid] * 0x9E3779B1) ^ (self._hi[nid] * 0x45D9F3B)
-        ) & mask
-        self._next[nid] = buckets[slot]
-        buckets[slot] = nid
-        count = self._count_of_var[var] + 1
-        self._count_of_var[var] = count
-        self._allocated += 1
-        if count > (mask + 1) << 1:
-            self._grow_subtable(var)
-
-    def _lookup(self, var: int, lo: int, hi: int) -> Optional[int]:
-        """Find the slot of ``(var, lo, hi)`` in the subtable, if present."""
-        buckets = self._buckets[var]
-        n = buckets[
-            ((lo * 0x9E3779B1) ^ (hi * 0x45D9F3B)) & (len(buckets) - 1)
-        ]
-        nxt = self._next
-        lo_arr, hi_arr = self._lo, self._hi
-        while n:
-            if lo_arr[n] == lo and hi_arr[n] == hi:
-                return n
-            n = nxt[n]
-        return None
-
     def _grow_subtable(self, var: int) -> None:
         """Double ``var``'s bucket array and rehash its chains."""
         old = self._buckets[var]
@@ -1538,15 +1509,6 @@ class BddManager:
     # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
-
-    def live_roots(self) -> Set[int]:
-        """Root edges of all live handles."""
-        roots: Set[int] = set()
-        for ref in list(self._handles.values()):
-            handle = ref()
-            if handle is not None:
-                roots.add(handle.id)
-        return roots
 
     def live_node_count(self) -> int:
         """Non-terminal slots holding references, in O(1).

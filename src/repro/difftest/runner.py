@@ -4,7 +4,9 @@ One fuzz *case* = generate a CFSM, synthesize it, and cross-check every
 snapshot through the five layers (:mod:`repro.difftest.oracle`).  Cases
 are independent, so they are scheduled as tasks on the pipeline executors
 (:mod:`repro.pipeline.parallel`) — ``--jobs N`` fans the campaign out
-over a process pool exactly like a parallel synthesis build.
+over a process pool exactly like a parallel synthesis build, and a traced
+campaign carries each case's span home in its outcome
+(:func:`repro.pipeline.parallel.run_traced`).
 
 The campaign result is a ``repro-difftest/v1`` document (rendered by
 ``repro report``, validated by :func:`repro.obs.validate_trace`); each
@@ -16,15 +18,12 @@ locally from the JSON artifact alone.
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.context import TraceContext
-from ..pipeline.parallel import make_executor
+from ..pipeline.parallel import make_executor, run_traced, task_span
 from ..pipeline.trace import BuildTrace, TraceEvent
 from .generator import CaseConfig, generate_case
 from .inject import inject_fault
@@ -102,17 +101,15 @@ class FuzzConfig:
 
 @dataclass
 class FuzzCaseOutcome:
-    """Executor-transportable result of one case (plain dicts only).
+    """Executor-transportable result of one case.
 
-    ``events``/``metrics`` carry the case's telemetry home when the task
-    ran with a trace context but no bus (in-process execution); bus-mode
-    tasks stream them instead and leave both empty.
+    ``events``/``metrics`` carry the case's telemetry home.
     """
 
     report: Dict[str, Any]
     repro: Optional[Dict[str, Any]] = None
     shrink_ms: int = 0
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -125,8 +122,7 @@ class FuzzCaseTask:
 
     With a trace ``context`` injected, the case runs under a
     ``fuzz.case`` span on its own lane and reports a
-    ``difftest_divergences`` counter — through the telemetry bus when the
-    context names one, in the outcome otherwise.
+    ``difftest_divergences`` counter in its outcome.
     """
 
     index: int
@@ -135,17 +131,10 @@ class FuzzCaseTask:
 
     def run(self, keep_result: bool) -> FuzzCaseOutcome:
         config = self.config
-        trace = (
-            BuildTrace(context=self.context)
-            if self.context is not None else None
-        )
-        with ExitStack() as stack:
-            span = None
-            if trace is not None:
-                span = stack.enter_context(
-                    trace.span(f"case-{self.index:04d}", "fuzz.case")
-                )
-            stack.enter_context(inject_fault(config.inject))
+        trace = BuildTrace(context=self.context)
+        with task_span(
+            trace, f"case-{self.index:04d}", "fuzz.case"
+        ) as span, inject_fault(config.inject):
             case = generate_case(
                 config.seed, self.index, config.case_config()
             )
@@ -183,32 +172,19 @@ class FuzzCaseTask:
                         "inject": config.inject,
                     },
                 )
-        events: List[Dict[str, Any]] = []
-        metrics: Dict[str, float] = {}
-        if trace is not None and span is not None:
-            divergences = len(report.mismatches)
-            span.metrics.update(
-                {
-                    "scheme": options.scheme,
-                    "reactions": report.reactions,
-                    "mismatches": divergences,
-                    "skipped": 1 if report.skipped else 0,
-                }
-            )
-            if self.context is not None and self.context.bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                bus = TelemetryBus(self.context.bus_dir)
-                with bus.writer(self.context.lane) as writer:
-                    for event in trace.events:
-                        writer.emit_event(event.to_dict())
-                    writer.emit_metric("difftest_divergences", divergences)
-            else:
-                events = [event.to_dict() for event in trace.events]
-                metrics = {"difftest_divergences": divergences}
+        divergences = len(report.mismatches)
+        span.metrics.update(
+            {
+                "scheme": options.scheme,
+                "reactions": report.reactions,
+                "mismatches": divergences,
+                "skipped": 1 if report.skipped else 0,
+            }
+        )
+        trace.add_metric("difftest_divergences", divergences)
         return FuzzCaseOutcome(
             report=report.as_dict(), repro=repro, shrink_ms=shrink_ms,
-            events=events, metrics=metrics,
+            events=trace.events, metrics=trace.metrics,
         )
 
 
@@ -219,42 +195,17 @@ def run_fuzz(
 
     With ``trace`` given, the campaign records one merged causal trace:
     a root span, one ``fuzz.case`` span per case on its own lane, and a
-    summed ``difftest_divergences`` counter — streamed over a telemetry
-    bus when the campaign fans out over a process pool.
+    summed ``difftest_divergences`` counter.
     """
     started = time.monotonic()
-    executor = make_executor(config.jobs)
     if trace is not None and trace.trace_id is None:
         trace.begin(f"fuzz-seed{config.seed}")
-    bus_dir: Optional[str] = None
-    if trace is not None and executor.jobs > 1:
-        bus_dir = tempfile.mkdtemp(prefix="repro-fuzz-bus-")
-    try:
-        tasks = [
-            FuzzCaseTask(
-                index=i, config=config,
-                context=(
-                    trace.context_for(i + 1, bus_dir)
-                    if trace is not None else None
-                ),
-            )
-            for i in range(config.cases)
-        ]
-        outcomes: List[FuzzCaseOutcome] = executor.run(tasks)
-        if trace is not None:
-            for outcome in outcomes:
-                for event in outcome.events:
-                    trace.record(TraceEvent.from_dict(event))
-                for name, value in outcome.metrics.items():
-                    trace.add_metric(name, value)
-            if bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                trace.merge_bus(TelemetryBus(bus_dir).drain())
-            trace.finish()
-    finally:
-        if bus_dir is not None:
-            shutil.rmtree(bus_dir, ignore_errors=True)
+    tasks = [FuzzCaseTask(index=i, config=config) for i in range(config.cases)]
+    outcomes: List[FuzzCaseOutcome] = run_traced(
+        make_executor(config.jobs), tasks, trace
+    )
+    if trace is not None:
+        trace.finish()
 
     reactions = 0
     skipped: List[Dict[str, Any]] = []

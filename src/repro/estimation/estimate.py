@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..bdd import Function
 from ..cfsm.expr import Expr
 from ..cfsm.machine import AssignState, Emit, ExprTest, PresenceTest
-from ..obs import get_tracer
 from ..sgraph import ASSIGN, BEGIN, END, SGraph, TEST
 from ..synthesis.encoding import FireFlag, ReactiveEncoding
 from .params import CostParams
@@ -155,31 +154,6 @@ def _input_var_cost(var: int, params: CostParams, encoding: ReactiveEncoding) ->
     return params.timing.t_testbit, params.size.s_testbit + params.size.s_test
 
 
-def estimate(
-    sg: SGraph,
-    encoding: ReactiveEncoding,
-    params: CostParams,
-    exclude_infeasible: bool = False,
-    copy_vars: Optional[Set[str]] = None,
-) -> Estimate:
-    """Estimate code size and min/max reaction cycles of an s-graph.
-
-    ``copy_vars`` restricts the priced on-entry state copies to the given
-    variable names (the data-flow extension); ``None`` prices a copy for
-    every state variable, the conservative default.
-    """
-    with get_tracer().span(
-        "estimation.estimate", module=encoding.cfsm.name
-    ) as span:
-        result = _estimate(sg, encoding, params, exclude_infeasible, copy_vars)
-        span.set(
-            code_size=result.code_size,
-            min_cycles=result.min_cycles,
-            max_cycles=result.max_cycles,
-        )
-    return result
-
-
 def _n_copies(
     encoding: ReactiveEncoding, copy_vars: Optional[Set[str]]
 ) -> int:
@@ -237,13 +211,19 @@ def _parent_counts(sg: SGraph, reach) -> Dict[int, int]:
     return parents
 
 
-def _estimate(
+def estimate(
     sg: SGraph,
     encoding: ReactiveEncoding,
     params: CostParams,
-    exclude_infeasible: bool,
-    copy_vars: Optional[Set[str]],
+    exclude_infeasible: bool = False,
+    copy_vars: Optional[Set[str]] = None,
 ) -> Estimate:
+    """Estimate code size and min/max reaction cycles of an s-graph.
+
+    ``copy_vars`` restricts the priced on-entry state copies to the given
+    variable names (the data-flow extension); ``None`` prices a copy for
+    every state variable, the conservative default.
+    """
     n_copies = _n_copies(encoding, copy_vars)
     reach = sg.reachable()
     parents = _parent_counts(sg, reach)

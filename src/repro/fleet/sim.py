@@ -20,23 +20,21 @@ stimulus injection) simultaneously for every lane:
 Lanes are grouped into fixed ``lanes_per_shard`` blocks whose stimulus
 seeds depend only on ``(seed, shard index)``, so results are independent
 of ``--jobs``; shards run as :class:`FleetShardTask` on the pipeline
-executors with per-shard spans/metrics streamed over the telemetry bus,
-mirroring the difftest campaign runner.
+executors through :func:`repro.pipeline.parallel.run_traced`, each
+outcome carrying its shard's span and counters home, mirroring the
+difftest campaign runner.
 """
 
 from __future__ import annotations
 
 import hashlib
-import shutil
-import tempfile
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..cfsm.network import Network
 from ..obs.context import TraceContext
-from ..pipeline.parallel import make_executor
+from ..pipeline.parallel import make_executor, run_traced, task_span
 from ..pipeline.trace import BuildTrace, TraceEvent
 from .kernel import CompiledNetwork, compile_network
 from .lanes import LaneCounter, select
@@ -299,7 +297,7 @@ class FleetShardOutcome:
     env_emitted: Dict[str, int]
     digest: str
     wall_ms: int
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -320,15 +318,10 @@ class FleetShardTask:
 
     def run(self, keep_result: bool) -> FleetShardOutcome:
         started = time.monotonic()
-        trace = (
-            BuildTrace(context=self.context) if self.context is not None else None
-        )
-        with ExitStack() as stack:
-            span = None
-            if trace is not None:
-                span = stack.enter_context(
-                    trace.span(f"shard-{self.shard_index:03d}", "fleet.shard")
-                )
+        trace = BuildTrace(context=self.context)
+        with task_span(
+            trace, f"shard-{self.shard_index:03d}", "fleet.shard"
+        ) as span:
             shard = FleetShard(
                 self.compiled,
                 self.lanes,
@@ -339,33 +332,16 @@ class FleetShardTask:
                 shard.step()
             reactions = shard.reactions.total()
             lost = shard.lost.total()
-            if span is not None:
-                span.metrics.update(
-                    {
-                        "lanes": self.lanes,
-                        "steps": self.config.steps,
-                        "fleet_reactions": reactions,
-                        "fleet_lost_events": lost,
-                    }
-                )
-        events: List[Dict[str, Any]] = []
-        metrics: Dict[str, float] = {}
-        if trace is not None:
-            if self.context is not None and self.context.bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                bus = TelemetryBus(self.context.bus_dir)
-                with bus.writer(self.context.lane) as writer:
-                    for event in trace.events:
-                        writer.emit_event(event.to_dict())
-                    writer.emit_metric("fleet_reactions", reactions)
-                    writer.emit_metric("fleet_lost_events", lost)
-            else:
-                events = [event.to_dict() for event in trace.events]
-                metrics = {
+            span.metrics.update(
+                {
+                    "lanes": self.lanes,
+                    "steps": self.config.steps,
                     "fleet_reactions": reactions,
                     "fleet_lost_events": lost,
                 }
+            )
+        trace.add_metric("fleet_reactions", reactions)
+        trace.add_metric("fleet_lost_events", lost)
         return FleetShardOutcome(
             shard=self.shard_index,
             lanes=self.lanes,
@@ -377,8 +353,8 @@ class FleetShardTask:
             },
             digest=shard.digest(),
             wall_ms=int((time.monotonic() - started) * 1000),
-            events=events,
-            metrics=metrics,
+            events=trace.events,
+            metrics=trace.metrics,
         )
 
 
@@ -405,43 +381,23 @@ def run_fleet(
         compile_ms = int((time.monotonic() - compile_started) * 1000)
     else:
         compile_ms = 0
-    executor = make_executor(config.jobs)
     if trace is not None and trace.trace_id is None:
         trace.begin(f"fleet-{network.name}")
-    bus_dir: Optional[str] = None
-    if trace is not None and executor.jobs > 1:
-        bus_dir = tempfile.mkdtemp(prefix="repro-fleet-bus-")
-    try:
-        tasks = [
-            FleetShardTask(
-                shard_index=i,
-                lanes=lanes,
-                config=config,
-                compiled=compiled,
-                spec=spec,
-                context=(
-                    trace.context_for(i + 1, bus_dir)
-                    if trace is not None
-                    else None
-                ),
-            )
-            for i, lanes in enumerate(sizes)
-        ]
-        outcomes: List[FleetShardOutcome] = executor.run(tasks)
-        if trace is not None:
-            for outcome in outcomes:
-                for event in outcome.events:
-                    trace.record(TraceEvent.from_dict(event))
-                for name, value in outcome.metrics.items():
-                    trace.add_metric(name, value)
-            if bus_dir is not None:
-                from ..obs.bus import TelemetryBus
-
-                trace.merge_bus(TelemetryBus(bus_dir).drain())
-            trace.finish()
-    finally:
-        if bus_dir is not None:
-            shutil.rmtree(bus_dir, ignore_errors=True)
+    tasks = [
+        FleetShardTask(
+            shard_index=i,
+            lanes=lanes,
+            config=config,
+            compiled=compiled,
+            spec=spec,
+        )
+        for i, lanes in enumerate(sizes)
+    ]
+    outcomes: List[FleetShardOutcome] = run_traced(
+        make_executor(config.jobs), tasks, trace
+    )
+    if trace is not None:
+        trace.finish()
 
     reactions = sum(o.reactions for o in outcomes)
     lost = sum(o.lost_events for o in outcomes)

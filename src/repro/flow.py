@@ -15,8 +15,10 @@ software CFSM's synthesis runs as a declared pass pipeline
 (``jobs > 1`` → process pool, :mod:`repro.pipeline.parallel`), with a
 content-addressed artifact cache in front (``cache=``,
 :mod:`repro.pipeline.cache`) and per-pass instrumentation flowing into a
-structured build trace (``trace=``, :mod:`repro.pipeline.trace`).  Serial,
-parallel, and warm-cache builds produce byte-identical artifacts.
+structured build trace (``trace=``, :mod:`repro.pipeline.trace`); the
+executor is reached only through :func:`repro.pipeline.parallel.run_traced`,
+which carries worker spans home in the task outcomes.  Serial, parallel,
+and warm-cache builds produce byte-identical artifacts.
 
 The result bundles every artifact a system integrator needs, and
 :meth:`SystemBuild.write_to` lays them out as a ready-to-compile C project.
@@ -25,9 +27,6 @@ The result bundles every artifact a system integrator needs, and
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +41,8 @@ from .pipeline import (
     module_cache_key,
     synthesis_options,
 )
+from .pipeline.parallel import run_traced
+from .pipeline.trace import staged
 from .rtos import RtosConfig, generate_rtos_c, select_policy
 from .rtos.autoconfig import AutoConfigResult
 from .rtos.footprint import Footprint, system_footprint
@@ -219,20 +220,9 @@ def build_system(
     A fresh ``trace`` is opened as a *causal* trace: ``build_system``
     begins the root span, hands every scheduled task a
     :class:`~repro.obs.context.TraceContext` on its own span-id lane, and
-    — for process pools — merges the workers' spans back over a telemetry
-    bus, so the final document is one connected span tree whatever
-    executor ran the build.
+    merges the spans each task's outcome carries home, so the final
+    document is one connected span tree whatever executor ran the build.
     """
-
-    def staged(stage: str, fn):
-        start = time.perf_counter()
-        value = fn()
-        if trace is not None:
-            trace.record_stage(
-                network.name, stage, (time.perf_counter() - start) * 1000.0
-            )
-        return value
-
     if trace is not None and trace.trace_id is None:
         trace.begin(network.name)
 
@@ -240,7 +230,7 @@ def build_system(
         from .analysis import lint_design, render_text
 
         lint_report = staged(
-            "lint",
+            trace, network.name, "lint",
             lambda: lint_design(
                 network.machines, design=network.name, scheme=scheme
             ),
@@ -251,12 +241,12 @@ def build_system(
                 + render_text(lint_report)
             )
     params = params if params is not None else staged(
-        "calibrate", lambda: calibrate(profile)
+        trace, network.name, "calibrate", lambda: calibrate(profile)
     )
     schedule: Optional[AutoConfigResult] = None
     if env_rates is not None:
         schedule = staged(
-            "schedule",
+            trace, network.name, "schedule",
             lambda: select_policy(network, env_rates, params, base_config=config),
         )
         if schedule.schedulable:
@@ -296,44 +286,21 @@ def build_system(
 
     if pending:
         executor = make_executor(jobs)
-        # Cross-process tasks stream their spans home over a telemetry
-        # bus; in-process tasks carry them in the outcome.  Lanes are
-        # assigned by task order, so serial and parallel builds produce
-        # structurally identical span trees.
-        bus_dir: Optional[str] = None
-        if trace is not None and executor.jobs > 1:
-            bus_dir = tempfile.mkdtemp(prefix="repro-bus-")
-        try:
-            tasks = [
-                ModuleBuildTask(
-                    machine=machine, options=options, profile=profile,
-                    params=params,
-                    context=(
-                        trace.context_for(index + 1, bus_dir)
-                        if trace is not None else None
-                    ),
-                    manager_pool=(
-                        manager_pool if executor.jobs == 1 else None
-                    ),
-                )
-                for index, (machine, _) in enumerate(pending)
-            ]
-            outcomes = executor.run(tasks)
-            for (machine, key), outcome in zip(pending, outcomes):
-                if trace is not None:
-                    trace.extend(outcome.events)
-                if cache is not None and key is not None:
-                    cache.put(key, outcome.artifacts)
-                build.modules[machine.name] = _module_build(
-                    outcome.artifacts, result=outcome.result, from_cache=False
-                )
-            if bus_dir is not None and trace is not None:
-                from .obs.bus import TelemetryBus
-
-                trace.merge_bus(TelemetryBus(bus_dir).drain())
-        finally:
-            if bus_dir is not None:
-                shutil.rmtree(bus_dir, ignore_errors=True)
+        tasks = [
+            ModuleBuildTask(
+                machine=machine, options=options, profile=profile,
+                params=params,
+                manager_pool=manager_pool if executor.jobs == 1 else None,
+            )
+            for machine, _ in pending
+        ]
+        outcomes = run_traced(executor, tasks, trace)
+        for (machine, key), outcome in zip(pending, outcomes):
+            if cache is not None and key is not None:
+                cache.put(key, outcome.artifacts)
+            build.modules[machine.name] = _module_build(
+                outcome.artifacts, result=outcome.result, from_cache=False
+            )
 
     # Modules land in network declaration order whatever path built them.
     build.modules = {
@@ -345,10 +312,10 @@ def build_system(
         for name, module in build.modules.items()
     }
     build.rtos_source = staged(
-        "rtos", lambda: generate_rtos_c(network, config)
+        trace, network.name, "rtos", lambda: generate_rtos_c(network, config)
     )
     build.footprint = staged(
-        "footprint",
+        trace, network.name, "footprint",
         lambda: system_footprint(
             network, config, profile, build.programs,
             copied_counts=copied_counts,

@@ -3,13 +3,12 @@
 This package is the shared core the rest of the system instruments
 against (the tentpole of the observability PRs):
 
-* :mod:`repro.obs.core` — the low-overhead :class:`Tracer` (spans) and
-  :class:`MetricsRegistry` (counters/gauges/histograms), plus the
-  :class:`TraceDocument` base both trace formats serialize through;
+* :mod:`repro.obs.core` — the :class:`MetricsRegistry`
+  (counters/gauges/histograms) and the :class:`TraceDocument` base both
+  trace formats serialize through;
 * :mod:`repro.obs.context` — W3C-style :class:`TraceContext` (trace /
   span / parent ids on per-worker lanes) that crosses process pools;
-* :mod:`repro.obs.bus` — the JSONL :class:`TelemetryBus` worker
-  processes stream spans and metrics home over;
+  worker spans come home inside the pickled task outcome;
 * :mod:`repro.obs.runtrace` — the ``repro-run-trace/v1`` document emitted
   by an instrumented :class:`repro.rtos.runtime.RtosRuntime`;
 * :mod:`repro.obs.chrometrace` — export of run *and* build traces to
@@ -23,10 +22,10 @@ against (the tentpole of the observability PRs):
   regression gate behind ``repro bench-history``;
 * :mod:`repro.obs.report` — the shared reporter behind ``repro report``.
 
+Spans themselves are recorded by :class:`repro.pipeline.trace.BuildTrace`.
 Nothing here imports the rest of ``repro``, so any layer can depend on it.
 """
 
-from .bus import BusWriter, TelemetryBus, split_records
 from .chrometrace import (
     build_chrome_trace_events,
     chrome_trace_events,
@@ -41,12 +40,8 @@ from .core import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Span,
     TraceDocument,
-    Tracer,
-    get_tracer,
     read_trace_file,
-    set_tracer,
 )
 from .history import (
     build_history,
@@ -91,10 +86,6 @@ from .schema import (
 )
 
 __all__ = [
-    "Tracer",
-    "Span",
-    "get_tracer",
-    "set_tracer",
     "Counter",
     "Gauge",
     "Histogram",
@@ -105,9 +96,6 @@ __all__ = [
     "new_trace_id",
     "make_span_id",
     "span_id_lane",
-    "TelemetryBus",
-    "BusWriter",
-    "split_records",
     "RunTrace",
     "RunEvent",
     "RUN_TRACE_FORMAT",

@@ -17,9 +17,9 @@ and a parallel build of the same network produce structurally identical
 id graphs.
 
 :class:`TraceContext` is the picklable capsule a coordinator injects into
-each task: the trace id, the parent span to link back to, the assigned
-lane, and (for process pools) the telemetry-bus directory the worker
-should append its events to (:mod:`repro.obs.bus`).
+each task: the trace id, the parent span to link back to, and the
+assigned lane.  The task's events come back inside its (pickled) outcome
+and :func:`repro.pipeline.parallel.run_traced` merges them in task order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = [
     "TraceContext",
@@ -66,25 +66,19 @@ class TraceContext:
 
     ``span_id`` is the *parent* span the task's own spans link back to
     (usually the build's root span).  ``lane`` is the task's private
-    span-id partition.  ``bus_dir`` names the telemetry-bus directory a
-    cross-process worker appends its events to; ``None`` means the task
-    returns events in its outcome (serial / in-process execution).
+    span-id partition.
     """
 
     trace_id: str
     span_id: str
     lane: int
-    bus_dir: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "lane": self.lane,
         }
-        if self.bus_dir is not None:
-            out["bus_dir"] = self.bus_dir
-        return out
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "TraceContext":
@@ -92,16 +86,6 @@ class TraceContext:
             trace_id=str(doc["trace_id"]),
             span_id=str(doc["span_id"]),
             lane=int(doc["lane"]),
-            bus_dir=doc.get("bus_dir"),
-        )
-
-    def child(self, lane: int, bus_dir: Optional[str] = None) -> "TraceContext":
-        """A context for a sub-task on its own lane, parented on this span."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            lane=lane,
-            bus_dir=bus_dir if bus_dir is not None else self.bus_dir,
         )
 
     @property

@@ -14,18 +14,22 @@ of executor or cache temperature.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .trace import BuildTrace
+from .trace import BuildTrace, staged
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
     from ..estimation import CostParams, Estimate
     from ..sgraph import SynthesisResult
     from ..target import ISAProfile, PathAnalysis, Program
 
-__all__ = ["ModuleArtifacts", "build_module_artifacts", "synthesis_options"]
+__all__ = [
+    "ModuleArtifacts",
+    "bound_figures",
+    "build_module_artifacts",
+    "synthesis_options",
+]
 
 
 @dataclass
@@ -39,6 +43,15 @@ class ModuleArtifacts:
     estimate: "Estimate"
     measured: "PathAnalysis"
     copied_state_vars: List[str] = field(default_factory=list)
+
+
+def bound_figures(bounds: "Estimate | PathAnalysis") -> Dict[str, int]:
+    """Code size and min/max cycles of an estimate or a measurement."""
+    return {
+        "code_size": bounds.code_size,
+        "min_cycles": bounds.min_cycles,
+        "max_cycles": bounds.max_cycles,
+    }
 
 
 def synthesis_options(
@@ -106,27 +119,24 @@ def build_module_artifacts(
         trace=trace,
     )
 
-    def staged(stage, fn):
-        start = time.perf_counter()
-        value = fn()
-        if trace is not None:
-            trace.record_stage(
-                name, stage, (time.perf_counter() - start) * 1000.0
-            )
-        return value
-
-    program = staged("compile", lambda: compile_sgraph(result, profile))
-    c_source = staged("codegen", lambda: generate_c(result))
+    program = staged(
+        trace, name, "compile", lambda: compile_sgraph(result, profile)
+    )
+    c_source = staged(trace, name, "codegen", lambda: generate_c(result))
     est = staged(
-        "estimate",
+        trace, name, "estimate",
         lambda: estimate_sgraph(
             result.sgraph,
             result.reactive.encoding,
             params,
             copy_vars=result.copy_vars,
         ),
+        bound_figures,
     )
-    measured = staged("measure", lambda: analyze_program(program, profile))
+    measured = staged(
+        trace, name, "measure", lambda: analyze_program(program, profile),
+        bound_figures,
+    )
     artifacts = ModuleArtifacts(
         name=name,
         scheme=options["scheme"],

@@ -7,8 +7,17 @@ byte-identical artifacts**, whichever executor ran them.  The original
 client is per-CFSM synthesis (:class:`ModuleBuildTask`), which is
 embarrassingly parallel — each module's pipeline reads only its own CFSM,
 the shared options, and the (immutable) profile and cost parameters.  The
-differential conformance fuzzer (:mod:`repro.difftest`) schedules its
-cases through the same executors.
+differential conformance fuzzer (:mod:`repro.difftest`), the fleet
+simulator (:mod:`repro.fleet`) and the serve workers schedule their work
+through the same executors.
+
+Telemetry follows one path.  :func:`run_traced` is the coordinator side:
+it hands task *i* a :class:`~repro.obs.context.TraceContext` on lane
+*i* + 1, runs the batch, and merges every outcome's ``events`` and
+``metrics`` into the build trace in task order.  :func:`task_span` is the
+worker side: the one span a task runs under on its lane.  Spans come
+home inside the pickled outcome, so a worker that dies takes its spans
+with it; the coordinator records the failure as an ``error`` event.
 
 ``keep_result`` distinguishes in-process from cross-process execution:
 workers cannot return live :class:`~repro.sgraph.SynthesisResult` objects
@@ -22,8 +31,10 @@ historical in-process flow.
 from __future__ import annotations
 
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..obs.context import TraceContext
 from .artifacts import ModuleArtifacts, build_module_artifacts
@@ -37,7 +48,24 @@ __all__ = [
     "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
+    "run_traced",
+    "task_span",
 ]
+
+
+@contextmanager
+def task_span(trace: BuildTrace, module: str, name: str) -> Iterator[TraceEvent]:
+    """The one span a task runs under on its context's lane.
+
+    A causal ``trace`` (one built from the task's injected context)
+    records the span and parents everything recorded inside it; an
+    untraced task gets a detached event no trace holds.
+    """
+    if not trace.causal:
+        yield TraceEvent(module=module, name=name)
+        return
+    with trace.span(module, name) as span:
+        yield span
 
 
 @dataclass
@@ -45,11 +73,9 @@ class ModuleBuildTask:
     """One schedulable unit: build every artifact of one software CFSM.
 
     When the coordinator runs a causal trace it injects a
-    :class:`~repro.obs.context.TraceContext`: the task then opens a child
-    trace on its own span-id lane, wraps the build in a per-module span,
-    and — when the context names a telemetry-bus directory — streams the
-    events home over the bus instead of carrying them in the (pickled)
-    outcome, so a worker that dies mid-build loses nothing already done.
+    :class:`~repro.obs.context.TraceContext`: the task then records on
+    its own span-id lane under a per-module span.  Untraced, the outcome
+    still carries the flat pass and stage events.
     """
 
     machine: Any  # Cfsm — picklable by construction
@@ -69,13 +95,7 @@ class ModuleBuildTask:
             else None
         )
         try:
-            if self.context is not None:
-                with trace.span(self.machine.name, "module"):
-                    artifacts, result = build_module_artifacts(
-                        self.machine, self.options, self.profile, self.params,
-                        trace=trace, manager=manager,
-                    )
-            else:
+            with task_span(trace, self.machine.name, "module"):
                 artifacts, result = build_module_artifacts(
                     self.machine, self.options, self.profile, self.params,
                     trace=trace, manager=manager,
@@ -83,19 +103,11 @@ class ModuleBuildTask:
         finally:
             if manager is not None:
                 self.manager_pool.release(manager)
-        events = trace.events
-        if self.context is not None and self.context.bus_dir is not None:
-            from ..obs.bus import TelemetryBus
-
-            bus = TelemetryBus(self.context.bus_dir)
-            with bus.writer(self.context.lane) as writer:
-                for event in events:
-                    writer.emit_event(event.to_dict())
-            events = []
         return ModuleBuildOutcome(
             artifacts=artifacts,
             result=result if keep_result else None,
-            events=events,
+            events=trace.events,
+            metrics=trace.metrics,
         )
 
 
@@ -106,6 +118,7 @@ class ModuleBuildOutcome:
     artifacts: ModuleArtifacts
     result: Optional[Any] = None  # SynthesisResult when built in-process
     events: List[TraceEvent] = field(default_factory=list)
+    metrics: Dict[str, float] = field(default_factory=dict)
 
 
 def _worker(task: Any) -> Any:
@@ -225,3 +238,33 @@ def make_executor(jobs: int = 1) -> Executor:
     if jobs <= 1:
         return SerialExecutor()
     return ProcessExecutor(jobs)
+
+
+def run_traced(
+    executor: Executor, tasks: List[Any], trace: Optional[BuildTrace]
+) -> List[Any]:
+    """Run ``tasks`` on ``executor``; with ``trace``, merge their telemetry.
+
+    Task *i* gets a context on lane *i* + 1, so serial and parallel runs
+    produce structurally identical span trees.  Each outcome's ``events``
+    and summed ``metrics`` are merged in task order.  If the executor
+    raises, one ``error`` stage event names the exception type, the trace
+    is finished, and the exception propagates.
+    """
+    if trace is None:
+        return executor.run(tasks)
+    for index, task in enumerate(tasks):
+        task.context = trace.context_for(index + 1)
+    start = time.perf_counter()
+    try:
+        outcomes = executor.run(tasks)
+    except BaseException as exc:
+        trace.record_stage(
+            "executor", "error", (time.perf_counter() - start) * 1000.0,
+            {"error": type(exc).__name__},
+        )
+        trace.finish()
+        raise
+    for outcome in outcomes:
+        trace.merge(outcome.events, outcome.metrics)
+    return outcomes

@@ -16,10 +16,9 @@ Since the causal-telemetry work the trace is also a *distributed* trace:
 ``span_id``/``parent_id`` links, and a worker process adopts a
 :class:`repro.obs.context.TraceContext` so its spans land on their own
 *lane* of the id space and link back to the coordinator's root span.
-Worker events travel home either inside the task outcome (in-process
-execution) or over the telemetry bus (:mod:`repro.obs.bus`), and
-:meth:`BuildTrace.merge_bus` folds the drained records — events and
-summed counters — into the one merged document.
+Worker events travel home inside the (pickled) task outcome, and
+:meth:`BuildTrace.merge` folds each outcome's events and summed counters
+into the one merged document, in task order.
 
 :class:`BuildTrace` extends :class:`repro.obs.TraceDocument`, the same
 base the runtime's :class:`repro.obs.RunTrace` uses, so build and run
@@ -33,12 +32,12 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
 
 from ..obs import TraceDocument
 from ..obs.context import TraceContext, make_span_id, new_trace_id
 
-__all__ = ["TraceEvent", "BuildTrace", "TRACE_FORMAT"]
+__all__ = ["TraceEvent", "BuildTrace", "TRACE_FORMAT", "staged"]
 
 TRACE_FORMAT = "repro-build-trace/v1"
 
@@ -135,7 +134,7 @@ class BuildTrace(TraceDocument):
 
     def __init__(self, context: Optional[TraceContext] = None) -> None:
         self.events: List[TraceEvent] = []
-        #: Counters streamed from subsystems (cache stats, bus metrics).
+        #: Counters from subsystems (cache stats) and merged task outcomes.
         self.metrics: Dict[str, float] = {}
         self.trace_id: Optional[str] = None
         self.root_span_id: Optional[str] = None
@@ -170,7 +169,7 @@ class BuildTrace(TraceDocument):
         self.trace_id = trace_id or new_trace_id()
         self._epoch = time.perf_counter()
         root = TraceEvent(module=module, name="build", kind=STAGE)
-        self.record(root)
+        self.record(root, now=self._epoch)
         self.root_span_id = root.span_id
         self._parents = [root.span_id]  # type: ignore[list-item]
         self._root_event = root
@@ -192,7 +191,7 @@ class BuildTrace(TraceDocument):
         self._parents = [context.span_id]
         self._epoch = time.perf_counter()
 
-    def context_for(self, lane: int, bus_dir: Optional[str] = None) -> TraceContext:
+    def context_for(self, lane: int) -> TraceContext:
         """The :class:`TraceContext` to inject into the task on ``lane``."""
         if self.trace_id is None:
             raise RuntimeError("begin() the trace before handing out contexts")
@@ -201,7 +200,6 @@ class BuildTrace(TraceDocument):
             trace_id=self.trace_id,
             span_id=parent,  # type: ignore[arg-type]
             lane=lane,
-            bus_dir=bus_dir,
         )
 
     @contextmanager
@@ -210,11 +208,11 @@ class BuildTrace(TraceDocument):
         event = TraceEvent(
             module=module, name=name, kind=kind, metrics=dict(metrics)
         )
-        self.record(event)
+        start = time.perf_counter()
+        self.record(event, now=start)
         pushed = event.span_id is not None
         if pushed:
             self._parents.append(event.span_id)  # type: ignore[arg-type]
-        start = time.perf_counter()
         try:
             yield event
         finally:
@@ -224,11 +222,15 @@ class BuildTrace(TraceDocument):
 
     # -- recording ---------------------------------------------------------
 
-    def record(self, event: TraceEvent) -> TraceEvent:
+    def record(
+        self, event: TraceEvent, now: Optional[float] = None
+    ) -> TraceEvent:
         """Append ``event``, stamping causal ids when the trace has them.
 
-        An event that already carries a ``span_id`` (merged from a worker)
-        is appended verbatim.
+        An event is recorded when its step ends, so its start offset
+        ``t_ms`` is the clock reading ``now`` (default: the current
+        ``perf_counter``) less its ``wall_ms``.  An event that already
+        carries a ``span_id`` (merged from a worker) is appended verbatim.
         """
         if self.trace_id is not None and event.span_id is None:
             event.span_id = self._next_span_id()
@@ -236,7 +238,9 @@ class BuildTrace(TraceDocument):
                 event.parent_id = self._parents[-1]
             event.lane = self.lane
             event.pid = os.getpid()
-            event.t_ms = (time.perf_counter() - self._epoch) * 1000.0
+            if now is None:
+                now = time.perf_counter()
+            event.t_ms = (now - self._epoch) * 1000.0 - event.wall_ms
         self.events.append(event)
         return event
 
@@ -282,16 +286,13 @@ class BuildTrace(TraceDocument):
         """Accumulate one named counter into the trace-level metrics."""
         self.metrics[name] = self.metrics.get(name, 0) + value
 
-    def merge_bus(self, records: Iterable[Dict[str, Any]]) -> int:
-        """Fold drained telemetry-bus records in; returns events merged."""
-        from ..obs.bus import split_records
-
-        event_dicts, metrics = split_records(records)
-        for doc in event_dicts:
-            self.record(TraceEvent.from_dict(doc))
+    def merge(
+        self, events: Iterable[TraceEvent], metrics: Dict[str, float]
+    ) -> None:
+        """Fold one task outcome's events and counters into this trace."""
+        self.extend(events)
         for name, value in metrics.items():
             self.add_metric(name, value)
-        return len(event_dicts)
 
     # -- queries -----------------------------------------------------------
 
@@ -381,3 +382,27 @@ class BuildTrace(TraceDocument):
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+T = TypeVar("T")
+
+
+def staged(
+    trace: Optional[BuildTrace],
+    module: str,
+    stage: str,
+    fn: Callable[[], T],
+    metrics: Optional[Callable[[T], Dict[str, Any]]] = None,
+) -> T:
+    """Run ``fn``; with a trace, record it as one ``stage`` event.
+
+    ``metrics`` maps the stage's value to the event's metrics.
+    """
+    start = time.perf_counter()
+    value = fn()
+    if trace is not None:
+        trace.record_stage(
+            module, stage, (time.perf_counter() - start) * 1000.0,
+            metrics(value) if metrics is not None else None,
+        )
+    return value

@@ -19,9 +19,10 @@ Each work request gets its own causal trace: the coordinator opens the
 root span (lane 0), records the queue wait, and hands the worker a
 context on :data:`~repro.serve.tasks.REQUEST_LANE`; the worker's spans
 (and its nested per-module / per-case sub-spans on lanes ``1..N``) come
-back in the outcome and are merged into one ``repro-build-trace/v1``
-document attached to the response — ``repro report`` renders it like any
-other trace.
+back in the outcome and are merged, with the same
+:meth:`~repro.pipeline.trace.BuildTrace.merge` step batch runs use, into
+one ``repro-build-trace/v1`` document attached to the response —
+``repro report`` renders it like any other trace.
 
 :func:`serve_in_thread` boots the whole daemon on a background thread
 for tests and benchmarks; the CLI runs :func:`run_server` in the
@@ -279,11 +280,14 @@ class ServeServer:
         request = job.request
         kind = request["kind"]
         params = request.get("params") or {}
+        started = time.monotonic()
+        queue_wait_ms = (started - job.enqueued_at) * 1000.0
         trace: Optional[BuildTrace] = None
         context = None
         if self.config.trace_requests:
             trace = BuildTrace()
             trace.begin(f"serve.{kind}")
+            trace.record_stage("serve", "queue.wait", queue_wait_ms)
             context = trace.context_for(REQUEST_LANE)
         task = ServeRequestTask(
             kind=kind,
@@ -292,8 +296,6 @@ class ServeServer:
             cache_max_bytes=self.config.cache_max_bytes,
             context=context,
         )
-        started = time.monotonic()
-        queue_wait_ms = (started - job.enqueued_at) * 1000.0
         try:
             outcome: ServeOutcome = await asyncio.wrap_future(
                 self._executor.submit(task)
@@ -325,12 +327,7 @@ class ServeServer:
             response["status"] = protocol.STATUS_OK
             response["result"] = outcome.result
         if trace is not None:
-            trace.record_stage(
-                "serve", "queue.wait", queue_wait_ms
-            )
-            trace.extend(outcome.events)
-            for name, value in outcome.metrics.items():
-                trace.add_metric(name, value)
+            trace.merge(outcome.events, outcome.metrics)
             trace.finish()
             response["trace"] = trace.to_dict()
         await self._send(job.writer, job.lock, response)

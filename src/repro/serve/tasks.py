@@ -21,9 +21,9 @@ Tracing: the coordinator hands the task a
 :class:`~repro.obs.context.TraceContext` on :data:`REQUEST_LANE` (the top
 of the 16-bit lane space, so nested per-module / per-case sub-task lanes
 ``1..N`` can never collide with it).  The worker adopts it, wraps the
-whole request in one ``request.<kind>`` span, and ships events + metrics
-home inside the outcome — jobs inside a worker are always serial, so no
-telemetry bus is needed at this level.
+whole request in one ``request.<kind>`` span
+(:func:`repro.pipeline.parallel.task_span`), and ships events + metrics
+home inside the outcome, the same shape every pipeline task returns.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from ..pipeline import (
     module_cache_key,
     synthesis_options,
 )
+from ..pipeline.artifacts import bound_figures
+from ..pipeline.parallel import task_span
 from ..pipeline.trace import TraceEvent
 from .pool import ManagerPool
 
@@ -144,14 +146,6 @@ def _resolve_profile(params: Dict[str, Any]):
     return PROFILES[name]
 
 
-def _estimate_dict(estimate) -> Dict[str, int]:
-    return {
-        "code_size": estimate.code_size,
-        "min_cycles": estimate.min_cycles,
-        "max_cycles": estimate.max_cycles,
-    }
-
-
 # -- handlers --------------------------------------------------------------
 
 
@@ -175,8 +169,8 @@ def _handle_synthesize(params, cache, trace) -> Dict[str, Any]:
         "modules": {
             name: {
                 "c_source": module.c_source,
-                "estimate": _estimate_dict(module.estimate),
-                "measured": _estimate_dict(module.measured),
+                "estimate": bound_figures(module.estimate),
+                "measured": bound_figures(module.measured),
                 "copied_state_vars": list(module.copied_state_vars),
                 "from_cache": module.from_cache,
             }
@@ -224,8 +218,8 @@ def _handle_estimate(params, cache, trace) -> Dict[str, Any]:
     return {
         "module": artifacts.name,
         "scheme": artifacts.scheme,
-        "estimate": _estimate_dict(artifacts.estimate),
-        "measured": _estimate_dict(artifacts.measured),
+        "estimate": bound_figures(artifacts.estimate),
+        "measured": bound_figures(artifacts.measured),
         "c_source": artifacts.c_source,
         "from_cache": from_cache,
     }
@@ -342,10 +336,7 @@ class ServeRequestTask:
 
     def run(self, keep_result: bool) -> ServeOutcome:
         del keep_result  # live objects never cross back; responses are data
-        trace = (
-            BuildTrace(context=self.context)
-            if self.context is not None else None
-        )
+        trace = BuildTrace(context=self.context)
         cache = _worker_cache(self.cache_dir, self.cache_max_bytes)
         handler = HANDLERS.get(self.kind)
         result = None
@@ -353,11 +344,10 @@ class ServeRequestTask:
         try:
             if handler is None:
                 raise ValueError(f"unknown request kind {self.kind!r}")
-            if trace is not None:
-                with trace.span("serve", f"request.{self.kind}"):
-                    result = handler(self.params, cache, trace)
-            else:
-                result = handler(self.params, cache, None)
+            with task_span(trace, "serve", f"request.{self.kind}"):
+                result = handler(
+                    self.params, cache, trace if trace.causal else None
+                )
         except Exception as exc:  # noqa: BLE001 - errors become responses
             error = f"{type(exc).__name__}: {exc}"
         finally:
@@ -374,7 +364,7 @@ class ServeRequestTask:
         return ServeOutcome(
             result=result,
             error=error,
-            events=trace.events if trace is not None else [],
-            metrics=dict(trace.metrics) if trace is not None else {},
+            events=trace.events,
+            metrics=trace.metrics,
             meta=meta,
         )

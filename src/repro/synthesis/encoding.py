@@ -399,13 +399,6 @@ class ReactiveEncoding:
     def test_of_var(self, var: int) -> Optional[Test]:
         return self._var_to_test.get(var)
 
-    def describe_input_var(self, var: int) -> str:
-        """Human/C-oriented description of an input variable."""
-        test = self._var_to_test.get(var)
-        if test is not None:
-            return test.label()
-        return self.manager.var_name(var)
-
     def render_input_var_c(self, var: int) -> str:
         """C expression computing input variable ``var``."""
         test = self._var_to_test.get(var)

@@ -136,7 +136,7 @@ class TestSummary:
         config = FleetConfig(
             instances=40, steps=10, seed=1, jobs=2, lanes_per_shard=16
         )
-        run_fleet(dashboard, config, trace=trace, compiled=compiled)
+        summary = run_fleet(dashboard, config, trace=trace, compiled=compiled)
         doc = trace.to_dict()
         assert_valid_trace(doc)
         shard_events = [
@@ -144,6 +144,9 @@ class TestSummary:
         ]
         assert len(shard_events) == 3
         assert doc["metrics"]["fleet_reactions"] > 0
+        # Counters from every shard lane are summed into the run totals.
+        assert doc["metrics"]["fleet_reactions"] == summary["reactions"]
+        assert doc["metrics"]["fleet_lost_events"] == summary["lost_events"]
 
 
 class TestStimulusSpec:

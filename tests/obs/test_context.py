@@ -38,16 +38,6 @@ def test_context_round_trips_through_dict():
         trace_id=new_trace_id(),
         span_id=make_span_id(0, 1),
         lane=5,
-        bus_dir="/tmp/bus",
     )
     clone = TraceContext.from_dict(ctx.to_dict())
     assert clone == ctx
-
-
-def test_child_context_keeps_trace_and_switches_lane():
-    ctx = TraceContext(trace_id=new_trace_id(), span_id=make_span_id(0, 1), lane=0)
-    child = ctx.child(lane=3, bus_dir="/tmp/b")
-    assert child.trace_id == ctx.trace_id
-    assert child.span_id == ctx.span_id  # parent span carried over
-    assert child.lane == 3
-    assert child.bus_dir == "/tmp/b"
