@@ -2,9 +2,9 @@
 
 The engine is the classic formulation: a join-semilattice of abstract
 values, a directed graph whose edges carry annotations, and a monotone
-transfer function applied per edge.  ``solve`` iterates a FIFO worklist
-until the least fixpoint is reached.  Backward problems are solved by
-running forward over :func:`reverse_edges`.
+transfer function applied per edge.  ``solve`` iterates a worklist in
+reverse postorder from the seeds until the least fixpoint is reached.
+Backward problems are solved by running forward over :func:`reverse_edges`.
 
 This package is the repository's first ``mypy --strict`` typed island:
 it imports nothing outside the standard library, so every concrete
@@ -14,16 +14,19 @@ plain node/edge structures before calling in.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import (
     Callable,
     Dict,
     Generic,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
 )
@@ -73,16 +76,23 @@ class Dataflow(Generic[N, E, V]):
 
         Returns the value attached to every *reached* node; nodes the
         seeds cannot flow into are absent (their value is bottom).  The
-        default step budget is generous for any finite-height lattice on
-        a DAG; exceeding it raises :class:`DataflowDivergence` rather
-        than spinning, so callers can degrade the analysis to a finding.
+        worklist pops the queued node earliest in reverse postorder, so
+        on a DAG every node is visited once, after all its predecessors,
+        and each edge is transferred once; any fair order reaches the
+        same least fixpoint.  The default step budget is generous for
+        any finite-height lattice on a DAG; exceeding it raises
+        :class:`DataflowDivergence` rather than spinning, so callers can
+        degrade the analysis to a finding.
         """
         n_edges = sum(len(out) for out in edges.values())
         if max_steps is None:
             max_steps = 16 * (len(edges) + 1) * (n_edges + 1) + 1024
+        order = _reverse_postorder(edges, init)
+        rank = {node: index for index, node in enumerate(order)}
         values: Dict[N, V] = dict(init)
-        work: deque[N] = deque(init)
-        queued = set(init)
+        work: List[int] = [rank[node] for node in init]
+        heapq.heapify(work)
+        queued = set(work)
         steps = 0
         while work:
             steps += 1
@@ -90,8 +100,9 @@ class Dataflow(Generic[N, E, V]):
                 raise DataflowDivergence(
                     f"no fixpoint after {max_steps} worklist steps"
                 )
-            node = work.popleft()
-            queued.discard(node)
+            index = heapq.heappop(work)
+            queued.discard(index)
+            node = order[index]
             value = values[node]
             for succ, annotation in edges.get(node, ()):
                 out = self.transfer(node, succ, annotation, value)
@@ -99,10 +110,40 @@ class Dataflow(Generic[N, E, V]):
                 new = out if old is None else self.join(old, out)
                 if old is None or not self.equal(old, new):
                     values[succ] = new
-                    if succ not in queued:
-                        queued.add(succ)
-                        work.append(succ)
+                    succ_index = rank[succ]
+                    if succ_index not in queued:
+                        queued.add(succ_index)
+                        heapq.heappush(work, succ_index)
         return values
+
+
+def _reverse_postorder(edges: EdgeMap[N, E], seeds: Iterable[N]) -> List[N]:
+    """Every node reachable from ``seeds``, in reverse DFS postorder.
+
+    On a DAG this is a topological order.  The depth-first search is
+    iterative, so deep graphs cannot exhaust the recursion limit.
+    """
+    postorder: List[N] = []
+    visited: Set[N] = set()
+    for seed in seeds:
+        if seed in visited:
+            continue
+        visited.add(seed)
+        stack: List[Tuple[N, Iterator[Tuple[N, E]]]] = [
+            (seed, iter(edges.get(seed, ())))
+        ]
+        while stack:
+            node, succs = stack[-1]
+            for succ, _ in succs:
+                if succ not in visited:
+                    visited.add(succ)
+                    stack.append((succ, iter(edges.get(succ, ()))))
+                    break
+            else:
+                stack.pop()
+                postorder.append(node)
+    postorder.reverse()
+    return postorder
 
 
 def reverse_edges(edges: EdgeMap[N, E]) -> Dict[N, List[Tuple[N, E]]]:

@@ -44,7 +44,7 @@ the style of CUDD:
   complement-normalized (main operand regular, then-operand regular) so a
   triple and its negation share one entry; restrict results are cached on
   the regular edge and re-complemented on the way out.  Caches are bounded
-  and count hits/misses (see :meth:`counters` / :meth:`export_metrics`);
+  and count hits/misses (see :meth:`counters`);
 * dynamic reordering is implemented with the standard in-place adjacent-level
   swap (with an interaction-matrix fast path for non-interacting variable
   pairs), on top of which :mod:`repro.bdd.sifting` builds constrained
@@ -403,8 +403,8 @@ class BddManager:
         self._false = Function(self, FALSE_ID)
         self._true = Function(self, TRUE_ID)
 
-        # Profiling counters (read by repro.obs.SiftProfile, exported to a
-        # MetricsRegistry by export_metrics, dumped by the engine bench).
+        # Profiling counters (read through counters() by the build trace,
+        # repro.obs.SiftProfile and the engine bench).
         self.swap_count = 0    # adjacent-level swaps performed
         self.swap_skips = 0    # swaps satisfied by the interaction fast path
         self.peak_nodes = 0    # high-water mark of allocated non-terminals
@@ -648,38 +648,6 @@ class BddManager:
 
     def _wrap(self, edge: int) -> Function:
         return Function(self, edge)
-
-    def live_handle_count(self) -> int:
-        """External handles still alive (the two constants always are)."""
-        self._drain_handle_deaths()
-        return sum(1 for ref in self._handles.values() if ref() is not None)
-
-    def reset(self) -> bool:
-        """Restore the pristine post-construction state for reuse.
-
-        The warm manager pools of the serve front door hand one manager to
-        many successive synthesis requests; ``reset()`` is what makes that
-        sound: it rebuilds the node store, unique tables, variable order,
-        operation caches, and profiling counters from scratch, exactly as
-        ``__init__`` left them.  Refuses (returns ``False``) while any
-        external :class:`Function` handle beyond the two constants is
-        still alive — a caller holding a handle into the old store must
-        never see it repointed.  Artifact bytes are unaffected either way:
-        synthesis output depends only on the CFSM and options, never on
-        slot/id layout (the PR 7 invariant), which the serve suite checks
-        by diffing fresh-manager and reset-manager builds.
-        """
-        self._drain_handle_deaths()
-        for ref in self._handles.values():
-            handle = ref()
-            if handle is None or handle is self._false or handle is self._true:
-                continue
-            return False
-        # Re-running __init__ rebinds every structure.  Stale weakref
-        # callbacks of old handles (including the replaced constants) find
-        # their key absent from the fresh _handles dict and no-op.
-        self.__init__(self.cache_limit)
-        return True
 
     @property
     def false(self) -> Function:
@@ -1893,7 +1861,7 @@ class BddManager:
         self._level_of_var[y] = level
 
     # ------------------------------------------------------------------
-    # Counters & metrics export
+    # Counters
     # ------------------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
@@ -1951,23 +1919,6 @@ class BddManager:
                 complemented / allocated if allocated else 0.0
             ),
         }
-
-    def export_metrics(self, registry, prefix: str = "bdd") -> None:
-        """Publish counters into a :class:`repro.obs.MetricsRegistry`.
-
-        Counter metrics are brought up to the current snapshot (delta
-        export, so repeated calls never double-count); node totals land in
-        gauges.
-        """
-        snapshot = self.counters()
-        live = snapshot.pop("live_nodes")
-        peak = snapshot.pop("peak_nodes")
-        registry.gauge(f"{prefix}_live_nodes").set(live)
-        registry.gauge(f"{prefix}_peak_nodes").set(peak)
-        for name, value in snapshot.items():
-            counter = registry.counter(f"{prefix}_{name}")
-            if value > counter.value:
-                counter.inc(value - counter.value)
 
     # ------------------------------------------------------------------
     # Debug invariants

@@ -198,7 +198,6 @@ def build_system(
     jobs: int = 1,
     cache: Optional[ArtifactCache] = None,
     trace: Optional[BuildTrace] = None,
-    manager_pool=None,
 ) -> SystemBuild:
     """Run the complete flow over ``network``.
 
@@ -212,10 +211,9 @@ def build_system(
     short-circuits synthesis for modules whose content address (CFSM
     fingerprint, options, profile, code version) is already stored;
     ``trace`` collects per-pass/per-stage timing, cache hit/miss events,
-    and size metrics; ``manager_pool`` (serial builds only — it is never
-    shipped across a process boundary) lends each module build a warm,
-    reset BDD manager, the serve workers' request-to-request reuse.  All
-    four are orthogonal and none changes a single artifact byte.
+    and size metrics.  All three are orthogonal and none changes a single
+    artifact byte.  Every module build makes its own BDD manager, as the
+    paper synthesizes each CFSM's reactive function on its own.
 
     A fresh ``trace`` is opened as a *causal* trace: ``build_system``
     begins the root span, hands every scheduled task a
@@ -290,7 +288,6 @@ def build_system(
             ModuleBuildTask(
                 machine=machine, options=options, profile=profile,
                 params=params,
-                manager_pool=manager_pool if executor.jobs == 1 else None,
             )
             for machine, _ in pending
         ]

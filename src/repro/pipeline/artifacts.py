@@ -87,7 +87,6 @@ def build_module_artifacts(
     profile: "ISAProfile",
     params: "CostParams",
     trace: Optional[BuildTrace] = None,
-    manager: Any = None,
 ) -> Tuple[ModuleArtifacts, "SynthesisResult"]:
     """Synthesize one CFSM end to end and bundle its artifacts.
 
@@ -95,10 +94,8 @@ def build_module_artifacts(
     plus the live :class:`SynthesisResult` for callers that want the
     s-graph and reactive function (serial in-process builds).
 
-    ``manager`` injects a (fresh or :meth:`~repro.bdd.BddManager.reset`)
-    BDD manager — how a warm manager pool is threaded through; artifacts
-    are byte-identical with or without one, since nothing downstream
-    depends on node-slot layout.
+    Each call synthesizes in a fresh BDD manager of its own, which only
+    the returned result keeps alive.
     """
     from ..codegen import generate_c
     from ..estimation import estimate as estimate_sgraph
@@ -109,7 +106,6 @@ def build_module_artifacts(
     result = synthesize(
         machine,
         scheme=options["scheme"],
-        manager=manager,
         multiway=options["multiway"],
         multiway_threshold=options["multiway_threshold"],
         prune=options["prune"],

@@ -18,7 +18,11 @@ An entry is addressed by the SHA-256 of three fingerprints:
 Entries live under ``<root>/objects/<k[:2]>/<k>.pkl`` and are written
 atomically (temp file + rename), so concurrent builds sharing a cache
 directory are safe: the worst race outcome is the same bytes written
-twice.  A corrupt or unreadable entry is treated as a miss.
+twice.  Each entry file is the SHA-256 digest of its pickled bytes
+followed by those bytes.  :meth:`ArtifactCache.get` checks the digest
+before it unpickles anything, so a truncated, bit-flipped or overwritten
+entry is a miss — never a crash, never wrong artifacts — and the
+rebuild's :meth:`~ArtifactCache.put` replaces it.
 
 ``shared=True`` promotes the store to a *concurrency-safe shared* cache
 for long-running multi-process services (the ``repro serve`` front door):
@@ -63,7 +67,10 @@ __all__ = [
 ]
 
 #: Bump when the pickled entry layout changes incompatibly.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+
+#: Every entry file starts with the SHA-256 digest of the pickle after it.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Subpackages whose source participates in artifact bytes.  ``pipeline``
 #: itself is included so a cache-format change rolls the version too.
@@ -234,15 +241,25 @@ class ArtifactCache:
             pass
 
     def get(self, key: str) -> Optional[Any]:
-        """The cached payload for ``key``, or ``None`` (counted as a miss)."""
+        """The cached payload for ``key``, or ``None`` (counted as a miss).
+
+        A missing file, a file shorter than a digest, a digest mismatch,
+        any exception while unpickling, and a foreign format version are
+        all misses.
+        """
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            self.misses += 1
-            return None
+                blob = handle.read()
+        except OSError:
+            blob = b""
+        digest, body = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:]
+        entry = None
+        if body and hashlib.sha256(body).digest() == digest:
+            try:
+                entry = pickle.loads(body)
+            except Exception:  # noqa: BLE001 - any damage is a miss
+                pass
         if (
             not isinstance(entry, dict)
             or entry.get("format") != CACHE_FORMAT_VERSION
@@ -261,13 +278,17 @@ class ArtifactCache:
         """Store ``payload`` under ``key`` atomically."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {"format": CACHE_FORMAT_VERSION, "key": key, "payload": payload}
+        body = pickle.dumps(
+            {"format": CACHE_FORMAT_VERSION, "key": key, "payload": payload},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(hashlib.sha256(body).digest())
+                handle.write(body)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -526,20 +547,13 @@ class ArtifactCache:
         return self.hits / lookups if lookups else 0.0
 
     def metrics_dict(self) -> Dict[str, float]:
-        """The cache's counters as flat metrics (trace / registry keys)."""
+        """The cache's counters as flat metrics (the build trace's keys)."""
         return {
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_evictions": self.evictions,
             "cache_bytes": self.total_bytes(),
         }
-
-    def export_metrics(self, registry) -> None:
-        """Snapshot the counters into a :class:`repro.obs.MetricsRegistry`."""
-        registry.counter("cache_hits").value = self.hits
-        registry.counter("cache_misses").value = self.misses
-        registry.counter("cache_evictions").value = self.evictions
-        registry.gauge("cache_bytes").set(self.total_bytes())
 
     def stats(self) -> str:
         line = (
@@ -557,8 +571,6 @@ class ArtifactCache:
         return line
 
     def __str__(self) -> str:
-        # The report path renders the cache directly — stats must work
-        # even when no metrics registry was ever attached.
         return self.stats()
 
     def __repr__(self) -> str:

@@ -83,26 +83,14 @@ class ModuleBuildTask:
     profile: Any  # ISAProfile
     params: Any  # CostParams
     context: Optional[TraceContext] = None
-    #: A warm BDD-manager pool (``acquire()``/``release(mgr)``), injected
-    #: only for in-process execution — never pickled across a pool
-    #: boundary, so cross-process tasks leave it ``None``.
-    manager_pool: Any = None
 
     def run(self, keep_result: bool) -> "ModuleBuildOutcome":
         trace = BuildTrace(context=self.context)
-        manager = (
-            self.manager_pool.acquire() if self.manager_pool is not None
-            else None
-        )
-        try:
-            with task_span(trace, self.machine.name, "module"):
-                artifacts, result = build_module_artifacts(
-                    self.machine, self.options, self.profile, self.params,
-                    trace=trace, manager=manager,
-                )
-        finally:
-            if manager is not None:
-                self.manager_pool.release(manager)
+        with task_span(trace, self.machine.name, "module"):
+            artifacts, result = build_module_artifacts(
+                self.machine, self.options, self.profile, self.params,
+                trace=trace,
+            )
         return ModuleBuildOutcome(
             artifacts=artifacts,
             result=result if keep_result else None,

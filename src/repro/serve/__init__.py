@@ -4,10 +4,9 @@ The paper's flow is batch-shaped — one invocation, one network, one
 result.  This package puts a concurrent front door on it: a daemon that
 accepts synthesize / estimate / simulate / fleet / fuzz requests over a
 length-prefixed JSON protocol, schedules them on a persistent worker pool
-with warm per-worker state (calibrated cost models, reset-reused BDD
-managers, shared artifact cache), applies explicit admission control
-(bounded queue, ``rejected`` + ``retry_after_ms``), and attaches one
-causal trace per request.
+with warm per-worker state (calibrated cost models, a shared artifact
+cache), applies explicit admission control (bounded queue, ``rejected``
++ ``retry_after_ms``), and attaches one causal trace per request.
 
 The serving contract: a served response is **byte-identical** to the
 corresponding direct library call — the daemon adds scheduling, caching,
@@ -16,12 +15,10 @@ and observability, never semantics.
 * :mod:`repro.serve.protocol` — framing, request kinds, statuses;
 * :mod:`repro.serve.server` — the asyncio coordinator + embedding helpers;
 * :mod:`repro.serve.tasks` — worker-side request handlers;
-* :mod:`repro.serve.pool` — the warm BDD-manager pool;
 * :mod:`repro.serve.client` — a blocking client.
 """
 
 from .client import ServeClient, ServeError, request_once
-from .pool import ManagerPool
 from .protocol import (
     CONTROL_KINDS,
     MAX_FRAME_BYTES,
@@ -58,7 +55,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "request_once",
-    "ManagerPool",
     "REQUEST_LANE",
     "ServeOutcome",
     "ServeRequestTask",

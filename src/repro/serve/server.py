@@ -4,8 +4,9 @@ One asyncio coordinator accepts length-prefixed JSON requests
 (:mod:`repro.serve.protocol`), pushes *work* requests through a bounded
 queue, and executes them on a persistent process pool
 (:class:`~repro.pipeline.parallel.PersistentProcessExecutor`) whose
-workers keep warm state — calibrated cost models, reset-reused BDD
-manager pools, shared artifact-cache handles — across requests.
+workers keep warm state — calibrated cost models and shared
+artifact-cache handles — across requests; each module build makes a
+fresh BDD manager, exactly as a direct library call does.
 
 Admission control is explicit: at most ``jobs`` requests run and at most
 ``queue_depth`` wait; one more gets a ``rejected`` response carrying

@@ -11,11 +11,11 @@ served response is byte-identical to a direct call (the conformance
 suite's contract).
 
 Worker-warm state lives at module level and survives across requests:
-
-* one :class:`~repro.serve.pool.ManagerPool` of reset-reused BDD managers;
-* one shared-mode :class:`~repro.pipeline.cache.ArtifactCache` handle per
-  cache directory (pin markers + counters are per-pid, so every worker
-  can hammer the same directory).
+the calibrated default target (:func:`warm_worker`) and one shared-mode
+:class:`~repro.pipeline.cache.ArtifactCache` handle per cache directory
+(pin markers + counters are per-pid, so every worker can hammer the same
+directory).  Nothing synthesis-side is kept: every module build makes
+its own BDD manager, as the paper synthesizes each CFSM on its own.
 
 Tracing: the coordinator hands the task a
 :class:`~repro.obs.context.TraceContext` on :data:`REQUEST_LANE` (the top
@@ -44,7 +44,6 @@ from ..pipeline import (
 from ..pipeline.artifacts import bound_figures
 from ..pipeline.parallel import task_span
 from ..pipeline.trace import TraceEvent
-from .pool import ManagerPool
 
 __all__ = [
     "REQUEST_LANE",
@@ -60,7 +59,6 @@ REQUEST_LANE = 0xFFFF
 
 # -- per-worker warm state -------------------------------------------------
 
-_MANAGER_POOL = ManagerPool()
 _CACHES: Dict[Tuple[str, Optional[int]], ArtifactCache] = {}
 
 
@@ -162,7 +160,6 @@ def _handle_synthesize(params, cache, trace) -> Dict[str, Any]:
         jobs=1,
         cache=cache,
         trace=trace,
-        manager_pool=_MANAGER_POOL,
     )
     return {
         "network": network.name,
@@ -205,14 +202,9 @@ def _handle_estimate(params, cache, trace) -> Dict[str, Any]:
             )
         from_cache = artifacts is not None
     if artifacts is None:
-        manager = _MANAGER_POOL.acquire()
-        try:
-            artifacts, _result = build_module_artifacts(
-                machine, options, profile, cost, trace=trace, manager=manager
-            )
-        finally:
-            _MANAGER_POOL.release(manager)
-        del _result
+        artifacts, _ = build_module_artifacts(
+            machine, options, profile, cost, trace=trace
+        )
         if cache is not None and key is not None:
             cache.put(key, artifacts)
     return {
@@ -238,7 +230,6 @@ def _handle_simulate(params, cache, trace) -> Dict[str, Any]:
         jobs=1,
         cache=cache,
         trace=trace,
-        manager_pool=_MANAGER_POOL,
     )
     stimuli = [
         Stimulus(
@@ -355,10 +346,7 @@ class ServeRequestTask:
             # concurrent eviction; drop them now, success or not.
             if cache is not None:
                 cache.release_pins()
-        meta: Dict[str, Any] = {
-            "worker_pid": os.getpid(),
-            "manager_pool": _MANAGER_POOL.stats(),
-        }
+        meta: Dict[str, Any] = {"worker_pid": os.getpid()}
         if cache is not None:
             meta["cache"] = cache.metrics_dict()
         return ServeOutcome(

@@ -22,7 +22,6 @@ Schemes (Sec. III-B3):
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..bdd import BddManager
 from ..cfsm.machine import Cfsm
 from ..pipeline.passes import PassContext, PassManager
 from ..pipeline.trace import BuildTrace
@@ -96,7 +95,6 @@ class SynthesisResult:
 def synthesize(
     cfsm: Cfsm,
     scheme: str = "sift",
-    manager: Optional[BddManager] = None,
     fold_state_tests: bool = True,
     multiway: bool = True,
     prune: bool = True,
@@ -128,7 +126,6 @@ def synthesize(
             reachable = ReachabilityAnalysis(cfsm).reachable_states
     rf = synthesize_reactive(
         cfsm,
-        manager=manager,
         fold_state_tests=fold_state_tests,
         check=check,
         reachable_states=reachable,

@@ -63,6 +63,10 @@ def _state_only_support(expr: Expr, state_domains: Dict[str, int]) -> Optional[s
 class ReactiveEncoding:
     """Allocates BDD variables for a CFSM's tests and actions.
 
+    Each encoding owns a fresh :class:`~repro.bdd.BddManager`: a CFSM's
+    reactive function is synthesized on its own (Sec. I-H), so nothing
+    is shared with, or left over from, any other module's build.
+
     The variable order at construction is the paper's "naive" initial order:
     inputs in first-occurrence order, all outputs after all inputs.
     Dynamic reordering is applied later, on the characteristic function.
@@ -71,13 +75,12 @@ class ReactiveEncoding:
     def __init__(
         self,
         cfsm: Cfsm,
-        manager: Optional[BddManager] = None,
         fold_state_tests: bool = True,
         enum_limit: int = DEFAULT_ENUM_LIMIT,
         reachable_states: Optional[Set[Tuple[int, ...]]] = None,
     ):
         self.cfsm = cfsm
-        self.manager = manager if manager is not None else BddManager()
+        self.manager = BddManager()
         self.fold_state_tests = fold_state_tests
         self.enum_limit = enum_limit
         # Optional reachable-state set (tuples in state_vars order) used as

@@ -202,7 +202,6 @@ class ReactiveFunction:
 
 def synthesize_reactive(
     cfsm: Cfsm,
-    manager: Optional[BddManager] = None,
     fold_state_tests: bool = True,
     check: bool = True,
     reachable_states=None,
@@ -215,7 +214,6 @@ def synthesize_reactive(
     """
     encoding = ReactiveEncoding(
         cfsm,
-        manager=manager,
         fold_state_tests=fold_state_tests,
         reachable_states=reachable_states,
     )

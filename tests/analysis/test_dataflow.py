@@ -71,6 +71,26 @@ class TestFramework:
         with pytest.raises(DataflowDivergence):
             analysis.solve(edges, {0: 0})
 
+    def test_dag_visits_each_edge_once(self):
+        # Reverse postorder pops every node after all its predecessors,
+        # so a DAG needs exactly one transfer per edge.
+        n = 200
+        edges = {
+            i: [(j, None) for j in (i + 1, i + 5) if j <= n]
+            for i in range(n + 1)
+        }
+        assert sum(len(out) for out in edges.values()) == 396
+        calls = []
+
+        def transfer(node, succ, ann, value):
+            calls.append((node, succ))
+            return value + 1
+
+        analysis = Dataflow(bottom=lambda: 0, join=max, transfer=transfer)
+        solution = analysis.solve(edges, {0: 0})
+        assert len(calls) == 396
+        assert solution == {i: i for i in range(n + 1)}  # longest path
+
     def test_reverse_edges(self):
         edges = {0: [(1, "x")], 1: [(2, "y")], 2: []}
         rev = reverse_edges(edges)

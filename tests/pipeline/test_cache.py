@@ -1,6 +1,8 @@
 """Content addressing and the on-disk artifact cache."""
 
+import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -100,8 +102,10 @@ class TestArtifactCache:
         import os
 
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        # A well-formed entry (digest, then pickle) of a foreign version.
+        body = pickle.dumps({"format": -1, "key": key, "payload": None})
         with open(path, "wb") as handle:
-            pickle.dump({"format": -1, "payload": None}, handle)
+            handle.write(hashlib.sha256(body).digest() + body)
         assert cache.get(key) is None
 
     def test_clear(self, tmp_path):
@@ -116,6 +120,100 @@ class TestArtifactCache:
         cache = ArtifactCache(str(tmp_path))
         cache.get("00" * 32)
         assert "0 hits, 1 misses" in cache.stats()
+
+
+def _same_artifacts(a, b):
+    return (
+        a.name == b.name
+        and a.scheme == b.scheme
+        and a.c_source == b.c_source
+        and a.program.listing() == b.program.listing()
+        and a.estimate == b.estimate
+        and a.measured == b.measured
+        and a.copied_state_vars == b.copied_state_vars
+    )
+
+
+def _flip_middle_bytes(root):
+    """Flip one bit of the middle byte of every entry under ``root``."""
+    entries = sorted(
+        path for path in (root / "objects").glob("*/*.pkl")
+        if not path.name.startswith(".tmp-")
+    )
+    for path in entries:
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+    return len(entries)
+
+
+class TestCorruptEntries:
+    """A damaged entry is a miss: never a crash, never wrong artifacts."""
+
+    def test_seeded_corruptions_miss_or_return_the_stored_artifacts(
+        self, tmp_path
+    ):
+        from repro.apps import dashboard_network
+
+        speedo = next(
+            m for m in dashboard_network().machines if m.name == "speedo"
+        )
+        params = calibrate(K11)
+        options = synthesis_options(scheme="sift", params=params)
+        stored, _ = build_module_artifacts(speedo, options, K11, params)
+        key = module_cache_key(speedo, options, K11)
+        cache = ArtifactCache(str(tmp_path))
+        cache.put(key, stored)
+        path = cache._path(key)
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+
+        rng = random.Random(17)
+        for trial in range(300):
+            blob = bytearray(pristine)
+            kind = ("truncate", "flip", "overwrite")[trial % 3]
+            if kind == "truncate":
+                del blob[rng.randrange(len(blob)):]
+            elif kind == "flip":
+                for _ in range(rng.randint(1, 4)):
+                    blob[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
+            else:
+                at = rng.randrange(len(blob) - 8)
+                blob[at:at + 8] = bytes(rng.randrange(256) for _ in range(8))
+            with open(path, "wb") as handle:
+                handle.write(bytes(blob))
+            loaded = cache.get(key)
+            assert loaded is None or _same_artifacts(loaded, stored), (
+                trial, kind
+            )
+        with open(path, "wb") as handle:
+            handle.write(pristine)
+        assert _same_artifacts(cache.get(key), stored)
+
+    def test_build_over_a_fully_corrupted_cache_rebuilds_identical_c(
+        self, tmp_path
+    ):
+        from repro.apps import dashboard_network
+        from repro.flow import build_system
+
+        reference = build_system(dashboard_network())
+        build_system(dashboard_network(), cache=ArtifactCache(str(tmp_path)))
+        assert _flip_middle_bytes(tmp_path) == len(reference.modules)
+
+        cache = ArtifactCache(str(tmp_path))
+        rebuilt = build_system(dashboard_network(), cache=cache)
+        assert cache.hits == 0
+        assert cache.misses == len(reference.modules)
+        assert list(rebuilt.modules) == list(reference.modules)
+        for name, module in reference.modules.items():
+            assert not rebuilt.modules[name].from_cache
+            assert rebuilt.modules[name].c_source == module.c_source
+        assert rebuilt.rtos_source == reference.rtos_source
+
+        # The rebuild's writes replaced every damaged entry.
+        again = ArtifactCache(str(tmp_path))
+        build_system(dashboard_network(), cache=again)
+        assert again.hits == len(reference.modules) and again.misses == 0
 
 
 class TestEviction:
@@ -181,8 +279,6 @@ class TestEviction:
         assert old in cache
 
     def test_metrics_dict_and_registry_export(self, tmp_path):
-        from repro.obs import MetricsRegistry
-
         cache = ArtifactCache(str(tmp_path), max_bytes=10_000)
         cache.get("00" * 32)
         key = self._put_blob(cache, 1)
@@ -192,10 +288,6 @@ class TestEviction:
         assert metrics["cache_misses"] == 1
         assert metrics["cache_evictions"] == 0
         assert metrics["cache_bytes"] > 0
-        registry = MetricsRegistry()
-        cache.export_metrics(registry)
-        assert registry.counter("cache_hits").value == 1
-        assert registry.gauge("cache_bytes").value == metrics["cache_bytes"]
 
     def test_stats_renders_without_registry(self, tmp_path):
         cache = ArtifactCache(str(tmp_path), max_bytes=4096)

@@ -6,9 +6,8 @@ client threads at once.  Every response is then compared field-for-field
 (C sources byte-for-byte) against the same computation done directly
 in-process through :func:`repro.flow.build_system`,
 :func:`repro.pipeline.build_module_artifacts`, and
-:func:`repro.fleet.sim.run_fleet`.  Concurrency, worker reuse, the shared
-artifact cache, and manager-pool recycling must all be invisible in the
-payload bytes.
+:func:`repro.fleet.sim.run_fleet`.  Concurrency, worker reuse and the
+shared artifact cache must all be invisible in the payload bytes.
 """
 
 import threading
