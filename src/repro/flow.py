@@ -11,8 +11,8 @@
 
 Since the pass-pipeline refactor, ``build_system`` is a *scheduler*: each
 software CFSM's synthesis runs as a declared pass pipeline
-(:mod:`repro.sgraph.passes`) through a pluggable executor
-(``jobs > 1`` → process pool, :mod:`repro.pipeline.parallel`), with a
+(:mod:`repro.sgraph.passes`) through an executor (``jobs > 1`` → the
+process's shared worker pool, :mod:`repro.pipeline.parallel`), with a
 content-addressed artifact cache in front (``cache=``,
 :mod:`repro.pipeline.cache`) and per-pass instrumentation flowing into a
 structured build trace (``trace=``, :mod:`repro.pipeline.trace`); the
@@ -207,7 +207,9 @@ def build_system(
     static-analysis subsystem runs first and any ERROR diagnostic aborts
     the build with a ``ValueError``.
 
-    ``jobs > 1`` builds the software CFSMs on a process pool; ``cache``
+    ``jobs > 1`` builds the software CFSMs on the process's shared pool,
+    whose workers outlive the call, so later builds skip their start-up
+    (:func:`~repro.pipeline.parallel.make_executor`); ``cache``
     short-circuits synthesis for modules whose content address (CFSM
     fingerprint, options, profile, code version) is already stored;
     ``trace`` collects per-pass/per-stage timing, cache hit/miss events,

@@ -9,8 +9,8 @@ hard-wired call sequence into an orchestrated pipeline:
 * :mod:`repro.pipeline.cache` — a content-addressed on-disk
   :class:`ArtifactCache` keyed by (CFSM fingerprint, options/profile
   fingerprint, code version);
-* :mod:`repro.pipeline.parallel` — pluggable serial / process-pool
-  executors over per-CFSM build tasks;
+* :mod:`repro.pipeline.parallel` — serial or process-pool executors
+  over per-CFSM build tasks, one shared pool per process;
 * :mod:`repro.pipeline.trace` — the structured :class:`BuildTrace`
   (``repro-build-trace/v1`` JSON);
 * :mod:`repro.pipeline.artifacts` — the picklable per-CFSM
@@ -34,7 +34,6 @@ from .parallel import (
     ModuleBuildOutcome,
     ModuleBuildTask,
     PersistentProcessExecutor,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ModuleBuildOutcome",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
 ]

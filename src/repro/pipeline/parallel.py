@@ -1,4 +1,4 @@
-"""Pluggable serial / process-pool execution of pipeline tasks.
+"""Serial or process-pool execution of pipeline tasks.
 
 A *task* is any picklable object with a ``run(keep_result: bool)`` method
 returning a picklable outcome; the executors schedule batches of them
@@ -10,6 +10,12 @@ the shared options, and the (immutable) profile and cost parameters.  The
 differential conformance fuzzer (:mod:`repro.difftest`), the fleet
 simulator (:mod:`repro.fleet`) and the serve workers schedule their work
 through the same executors.
+
+Every ``jobs > 1`` batch of a process runs on one shared
+:class:`PersistentProcessExecutor`, created at the first pooled batch
+and reused, so its workers start once per process; :func:`make_executor`
+replaces it on a ``jobs`` change or after a worker died, and an
+``atexit`` hook shuts it down before interpreter teardown.
 
 Telemetry follows one path.  :func:`run_traced` is the coordinator side:
 it hands task *i* a :class:`~repro.obs.context.TraceContext` on lane
@@ -30,6 +36,7 @@ historical in-process flow.
 
 from __future__ import annotations
 
+import atexit
 import os
 import time
 from contextlib import contextmanager
@@ -45,7 +52,6 @@ __all__ = [
     "ModuleBuildOutcome",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
     "run_traced",
@@ -135,31 +141,6 @@ class SerialExecutor(Executor):
         return [task.run(keep_result=True) for task in tasks]
 
 
-class ProcessExecutor(Executor):
-    """A ``concurrent.futures`` process pool over the tasks.
-
-    Results are collected with ``Executor.map``, which preserves task
-    order regardless of completion order.  With one task (or one job) the
-    pool is skipped entirely — no point paying interpreter start-up.
-    """
-
-    def __init__(self, jobs: int):
-        if jobs < 2:
-            raise ValueError("ProcessExecutor needs jobs >= 2")
-        self.jobs = int(jobs)
-
-    def run(self, tasks: List[Any]) -> List[Any]:
-        if len(tasks) <= 1:
-            return [task.run(keep_result=False) for task in tasks]
-        import concurrent.futures
-
-        workers = min(self.jobs, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            return list(pool.map(_worker, tasks))
-
-
 @dataclass
 class _PingTask:
     """A no-op task used to prewarm pool workers and learn their pids."""
@@ -170,15 +151,13 @@ class _PingTask:
 
 
 class PersistentProcessExecutor(Executor):
-    """A long-lived process pool with a ``submit`` API.
+    """A long-lived process pool over the task protocol, plus ``submit``.
 
-    The batch executors above spin a pool up per call and tear it down —
-    the right shape for one build, the wrong one for a daemon serving a
-    stream of requests.  This executor keeps its workers alive across
-    submissions (so per-worker warm state — calibrated cost params, BDD
-    manager pools — pays off), accepts the same task protocol
-    (``run(keep_result) -> outcome``), and exposes the worker pids so a
-    service can assert none leaked after shutdown.
+    Workers stay alive across batches, so their start-up is paid once.
+    :func:`make_executor` keeps one instance for every ``jobs > 1`` batch
+    of a process; the serve daemon keeps its own, with a warming
+    ``initializer`` (a calibrated target, a shared cache handle) and
+    :meth:`worker_pids` to prove none leaked after shutdown.
 
     ``initializer`` runs once in each worker as it starts (import and
     calibration prewarming); :meth:`prewarm` forces all workers into
@@ -190,6 +169,7 @@ class PersistentProcessExecutor(Executor):
         import concurrent.futures
 
         self.jobs = max(1, int(jobs))
+        self.closed = False
         self._pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=initializer,
@@ -201,8 +181,30 @@ class PersistentProcessExecutor(Executor):
         return self._pool.submit(_worker, task)
 
     def run(self, tasks: List[Any]) -> List[Any]:
-        futures = [self.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+        """Outcomes in task order; a batch of one runs in-process.
+
+        A failed batch leaves no work behind: a dead worker
+        (``BrokenProcessPool``) shuts the pool down, and any other failure
+        cancels the tasks not yet started and waits for the running ones.
+        """
+        if len(tasks) <= 1:
+            return [task.run(keep_result=False) for task in tasks]
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        futures: List[Any] = []
+        try:
+            for task in tasks:
+                futures.append(self.submit(task))
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            self.shutdown(wait=True)
+            raise
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
 
     def prewarm(self) -> List[int]:
         """Spin up every worker now; returns the distinct pids seen."""
@@ -218,14 +220,36 @@ class PersistentProcessExecutor(Executor):
         )
 
     def shutdown(self, wait: bool = True) -> None:
+        self.closed = True
         self._pool.shutdown(wait=wait)
 
 
+#: The pool every ``jobs > 1`` batch of this process runs on.
+_shared: Optional[PersistentProcessExecutor] = None
+
+
 def make_executor(jobs: int = 1) -> Executor:
-    """``jobs <= 1`` → serial in-process; otherwise a process pool."""
+    """``jobs <= 1`` → serial in-process; otherwise the shared pool.
+
+    The pool is replaced when ``jobs`` differs or once it was shut down
+    (as :meth:`PersistentProcessExecutor.run` does when a worker dies);
+    the old pool's workers are joined first, so two pools never coexist.
+    """
+    global _shared
     if jobs <= 1:
         return SerialExecutor()
-    return ProcessExecutor(jobs)
+    if _shared is None or _shared.closed or _shared.jobs != jobs:
+        if _shared is not None:
+            _shared.shutdown(wait=True)
+        _shared = PersistentProcessExecutor(jobs)
+    return _shared
+
+
+@atexit.register
+def _shutdown_shared() -> None:
+    """Join the shared pool while the interpreter is still whole."""
+    if _shared is not None:
+        _shared.shutdown(wait=True)
 
 
 def run_traced(

@@ -131,3 +131,12 @@ def all_snapshots(cfsm, value_range=None):
             for vals in product(*(dom for _, dom in value_domains)):
                 values = dict(zip((n for n, _ in value_domains), vals))
                 yield state, present, values
+
+
+def build_bytes(build):
+    """Every byte a system build writes, plus each module's listing."""
+    modules = {
+        name: (module.c_source, module.program.listing())
+        for name, module in build.modules.items()
+    }
+    return modules, build.rtos_source, build.report()

@@ -6,9 +6,12 @@
   recorded);
 * a worker that dies mid-build surfaces as ``BrokenProcessPool`` with no
   leaked process, and the trace still closes: a root with a wall time
-  and one ``error`` event naming the exception.
+  and one ``error`` event naming the exception.  The crash rides in the
+  task itself, so it reaches the shared pool's workers whatever the
+  start method, and the next pooled build runs on a fresh pool.
 """
 
+import copy
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -16,9 +19,12 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.apps import abp_network
+from repro.cfsm import Network
 from repro.flow import build_system
 from repro.obs import validate_build_trace
-from repro.pipeline import BuildTrace, parallel
+from repro.pipeline import BuildTrace
+
+from ..conftest import build_bytes
 
 #: Float rounding only: both ends of a child come from the same clock
 #: readings as its parent's, so no timing tolerance is needed.
@@ -48,24 +54,28 @@ def test_events_lie_inside_their_parent_slice(jobs):
     assert nested_lanes == set(range(len(network.machines) + 1))
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the crash is patched into the parent and inherited by forking",
-)
-def test_worker_crash_is_a_typed_traced_error(monkeypatch):
-    build = parallel.build_module_artifacts
+class _ExitOnUnpickle:
+    """Mixed into a machine's class: any process that unpickles it exits."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
+
+
+def _doomed_network():
+    """ABP with its first machine replaced by one that kills its worker."""
     network = abp_network()
-    doomed = network.machines[0].name
+    first = copy.copy(network.machines[0])
+    first.__class__ = type("Doomed", (_ExitOnUnpickle, type(first)), {})
+    return Network(network.name, [first] + network.machines[1:])
 
-    def crash_one(machine, *args, **kwargs):
-        if machine.name == doomed:
-            os._exit(1)
-        return build(machine, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "build_module_artifacts", crash_one)
+def test_worker_crash_is_a_typed_traced_error():
+    # A warm shared pool: the crash must take down workers that already
+    # served a build, not ones forked for this one.
+    build_system(abp_network(), jobs=2)
     trace = BuildTrace()
     with pytest.raises(BrokenProcessPool):
-        build_system(network, trace=trace, jobs=2)
+        build_system(_doomed_network(), trace=trace, jobs=2)
     assert multiprocessing.active_children() == []
     doc = trace.to_dict()
     assert validate_build_trace(doc) == []
@@ -74,3 +84,8 @@ def test_worker_crash_is_a_typed_traced_error(monkeypatch):
     errors = [e for e in trace.events if e.name == "error"]
     assert [e.metrics["error"] for e in errors] == ["BrokenProcessPool"]
     assert errors[0].parent_id == trace.root_span_id
+    # The next pooled build gets a fresh pool.
+    network = abp_network()
+    assert build_bytes(build_system(network, jobs=2)) == build_bytes(
+        build_system(network)
+    )
