@@ -60,9 +60,11 @@ visible through :meth:`live_node_count` and :meth:`store_stats`.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import sys
 import weakref
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -262,33 +264,42 @@ class SizeProbe:
       recycled slot.
 
     A non-constant function reaches both terminal edges, so its size is
-    2 plus the per-level counts; a constant's size is 1.  The first call,
-    a call after :meth:`BddManager.new_var`, and a call that finds
-    ``swap_count`` lower than the previous call did count every level.
+    2 plus the per-level counts; a constant's size is 1.  The first call
+    and a call after :meth:`BddManager.new_var` count every level.
+
+    Levels are stamped by a private clock of the manager, not by
+    ``swap_count`` (benches reset that counter).  A swap advances the clock
+    by one and stamps its two levels.  A sift's rollback to a checkpoint
+    restores the node store without swapping: it stamps every level a swap
+    touched since the checkpoint (or since the previous rollback to it),
+    which are exactly the levels whose nodes it changes, and advances the
+    clock by two, so a rollback is never read as one swap.  A read is
+    therefore a function of the variable order alone: the same order gives
+    the same size, however the store got there.
     """
 
-    __slots__ = ("function", "_swaps", "_counts", "_entry", "_total")
+    __slots__ = ("function", "_clock", "_counts", "_entry", "_total")
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        self._swaps = -1
+        self._clock = -1
         self._counts: List[int] = []
         self._entry: List[Set[int]] = []
         self._total = 0
 
     def __call__(self) -> int:
         manager = self.function.manager
-        swaps = manager.swap_count
-        last = self._swaps
-        if swaps == last:
+        clock = manager._order_clock
+        last = self._clock
+        if clock == last:
             return self._total
-        self._swaps = swaps
+        self._clock = clock
         stamps = manager._level_stamp
-        if last < 0 or swaps < last or len(stamps) != len(self._counts):
+        if last < 0 or len(stamps) != len(self._counts):
             self._count_all(manager)
-        elif swaps == last + 1:
+        elif clock == last + 1:
             # One swap, the usual sifting step: its two levels.
-            top = stamps.index(swaps)
+            top = stamps.index(clock)
             self._recount(manager, top, top + 1)
         else:
             touched = [level for level, s in enumerate(stamps) if s > last]
@@ -336,6 +347,26 @@ class SizeProbe:
         self._total = total + sum(counts[top:bottom + 1])
 
 
+class _Checkpoint:
+    """A copy of a manager's node store and variable order.
+
+    Taken by :meth:`BddManager._checkpoint`, restored by
+    :meth:`BddManager._rollback`.  ``since`` is the order-clock reading
+    after which a swap changes the store relative to this copy.
+    """
+
+    __slots__ = ("arrays", "buckets", "counts", "since")
+
+    def __init__(
+        self, arrays: Tuple[Any, ...], buckets: List[List[int]],
+        counts: Tuple[int, int, int], since: int,
+    ) -> None:
+        self.arrays = arrays
+        self.buckets = buckets
+        self.counts = counts
+        self.since = since
+
+
 class BddManager:
     """Owner of the node store, unique subtables, and variable order."""
 
@@ -367,7 +398,9 @@ class BddManager:
         # Handle-death decrefs land here (weakref callbacks can fire at
         # arbitrary allocation points, e.g. mid-swap) and are drained at
         # deterministic safe points: collect(), structural swaps, check().
+        # While a sift runs they stay queued (see _roots_held).
         self._handle_deaths: List[int] = []
+        self._holding_deaths = False
 
         # Per-variable unique subtables + allocation accounting.
         self._buckets: List[List[int]] = []
@@ -385,12 +418,13 @@ class BddManager:
         self._support_cache: Dict[int, FrozenSet[int]] = {}
 
         # Variable order bookkeeping.  ``_level_stamp[level]`` is the
-        # ``swap_count`` of the last swap that touched the level, so a
-        # :class:`SizeProbe` can tell which levels moved since it last
-        # counted.
+        # ``_order_clock`` reading of the last swap or rollback that changed
+        # the level, so a :class:`SizeProbe` can tell which levels moved
+        # since it last counted.
         self._level_of_var: List[int] = []
         self._var_at_level: List[int] = []
         self._level_stamp: List[int] = []
+        self._order_clock = 0
         self._var_names: List[str] = []
 
         # Incremental liveness accounting (allocated = live + dead).
@@ -427,7 +461,7 @@ class BddManager:
         var = len(self._level_of_var)
         self._level_of_var.append(var)
         self._var_at_level.append(var)
-        self._level_stamp.append(self.swap_count)
+        self._level_stamp.append(self._order_clock)
         self._var_names.append(name if name is not None else f"v{var}")
         self._buckets.append([0] * _INITIAL_BUCKETS)
         self._count_of_var.append(0)
@@ -642,9 +676,38 @@ class BddManager:
 
     def _drain_handle_deaths(self) -> None:
         """Apply queued handle-death decrefs (at a safe point)."""
+        if self._holding_deaths:
+            return
         deaths = self._handle_deaths
         while deaths:
             self._decref(deaths.pop())
+
+    @contextlib.contextmanager
+    def _roots_held(self) -> Iterator[None]:
+        """Keep handle deaths queued, and their roots counted, in the block.
+
+        Sifting runs inside this: every size it reads is then a function of
+        the variable order alone, whenever the cyclic collector frees a
+        :class:`Function`.  The queued deaths are applied at the first safe
+        point after the block.
+        """
+        held = self._holding_deaths
+        self._holding_deaths = True
+        try:
+            yield
+        finally:
+            self._holding_deaths = held
+
+    def _root_edges(self) -> List[int]:
+        """Edges of the live handles and of the handles whose deaths are
+        queued: the references that keep nodes alive from outside."""
+        roots = []
+        for ref in list(self._handles.values()):
+            handle = ref()
+            if handle is not None:
+                roots.append(handle.id)
+        roots.extend(self._handle_deaths)
+        return roots
 
     def _wrap(self, edge: int) -> Function:
         return Function(self, edge)
@@ -1272,11 +1335,7 @@ class BddManager:
         self._drain_handle_deaths()
         counts = [0] * self.num_vars
         seen: Set[int] = set()
-        stack: List[int] = []
-        for ref in list(self._handles.values()):
-            handle = ref()
-            if handle is not None:
-                stack.append(handle.id)
+        stack = self._root_edges()
         var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
         while stack:
             edge = stack.pop()
@@ -1346,12 +1405,11 @@ class BddManager:
         """
         pairs: Set[Tuple[int, int]] = set()
         seen_roots: Set[int] = set()
-        for ref in list(self._handles.values()):
-            handle = ref()
-            if handle is None or (handle.id >> 1) in seen_roots:
+        for edge in self._root_edges():
+            if (edge >> 1) in seen_roots:
                 continue
-            seen_roots.add(handle.id >> 1)
-            sup = sorted(self._support_ids(handle.id))
+            seen_roots.add(edge >> 1)
+            sup = sorted(self._support_ids(edge))
             for i, a in enumerate(sup):
                 for b in sup[i + 1:]:
                     pairs.add((a, b))
@@ -1582,8 +1640,9 @@ class BddManager:
         if not 0 <= level < self.num_vars - 1:
             raise ValueError(f"cannot swap level {level}")
         self.swap_count += 1
+        self._order_clock += 1
         stamp = self._level_stamp
-        stamp[level] = stamp[level + 1] = self.swap_count
+        stamp[level] = stamp[level + 1] = self._order_clock
         x = self._var_at_level[level]
         y = self._var_at_level[level + 1]
         if interaction is not None:
@@ -1861,6 +1920,67 @@ class BddManager:
         self._level_of_var[y] = level
 
     # ------------------------------------------------------------------
+    # Checkpoints: undoing a sift's exploration without swapping back
+    # ------------------------------------------------------------------
+
+    def _checkpoint(self) -> _Checkpoint:
+        """Copy the node store, the subtables and the variable order.
+
+        Work counters (``swap_count``, ``swap_skips``, ``nodes_freed``,
+        ``peak_nodes``, ``collect_count``) are not part of it: they count
+        work done.  Nor are the operation caches and the handles: swaps add
+        no cache entries, and every edge denotes the same function in the
+        checkpoint as after any swaps that follow it.
+        """
+        store = (
+            self._var, self._lo, self._hi, self._ref, self._next,
+            self._is_dead, self._count_of_var, self._dead_of_var,
+            self._dead_set, self._free, self._pending_free,
+            self._level_of_var, self._var_at_level,
+        )
+        return _Checkpoint(
+            tuple(a.copy() for a in store),
+            [buckets[:] for buckets in self._buckets],
+            (self._allocated, self._live_count, self._dead_count),
+            self._order_clock,
+        )
+
+    def _rollback(self, cp: _Checkpoint, last: bool = False) -> None:
+        """Restore the store and the order of ``cp``, without swapping.
+
+        Sound only between swaps and inside :meth:`_roots_held`, with no
+        BDD built since ``cp`` was taken: a handle death applied, or a node
+        built, after the checkpoint would be undone with it.  ``last`` says
+        this is the checkpoint's last use, so its copies can be taken
+        instead of copied again.
+
+        The level stamps are not restored: every level a swap touched since
+        the checkpoint (or since the previous rollback to it) is stamped
+        anew, and the clock advances by two (see :class:`SizeProbe`).
+        """
+        assert self._holding_deaths, "a rollback needs the roots held"
+        arrays, buckets = cp.arrays, cp.buckets
+        if not last:
+            arrays = tuple(a.copy() for a in arrays)
+            buckets = [b[:] for b in buckets]
+        (
+            self._var, self._lo, self._hi, self._ref, self._next,
+            self._is_dead, self._count_of_var, self._dead_of_var,
+            self._dead_set, self._free, self._pending_free,
+            self._level_of_var, self._var_at_level,
+        ) = arrays
+        self._buckets = buckets
+        self._allocated, self._live_count, self._dead_count = cp.counts
+        self._order_clock += 2
+        clock = self._order_clock
+        stamps = self._level_stamp
+        since = cp.since
+        for level, stamp in enumerate(stamps):
+            if stamp > since:
+                stamps[level] = clock
+        cp.since = clock
+
+    # ------------------------------------------------------------------
     # Counters
     # ------------------------------------------------------------------
 
@@ -1981,10 +2101,9 @@ class BddManager:
             for child in (self._lo[nid] >> 1, self._hi[nid] >> 1):
                 if child:
                     expected[child] += 1
-        for ref in list(self._handles.values()):
-            handle = ref()
-            if handle is not None and handle.id >= 2:
-                expected[handle.id >> 1] += 1
+        for edge in self._root_edges():
+            if edge >= 2:
+                expected[edge >> 1] += 1
         for nid in allocated:
             if not self._is_dead[nid]:
                 assert self._ref[nid] == expected[nid], (

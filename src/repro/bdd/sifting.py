@@ -28,6 +28,35 @@ A pass is engineered around the manager's incremental bookkeeping:
   level-map updates;
 * the block layout and the ``var -> block index`` map are built once per
   pass and maintained across moves instead of being recomputed per block.
+
+A block's sift takes Rudell's decisions: down to the bottom of its range,
+up to the top, then back to the best position seen, each leg ending early
+once the size grows past ``max_growth`` times the best.  Every size it
+reads is a function of the variable order alone, so swaps are spent only
+on positions not yet measured:
+
+* **held deaths** — while :func:`sift` or :func:`sift_to_convergence`
+  runs, handle deaths stay queued and their edges still count as roots
+  (``BddManager._roots_held``), so a :class:`~repro.bdd.Function` the
+  cyclic collector frees mid-sift changes nothing until the sift returns.
+  The deaths apply at the first safe point after it; deaths queued before
+  it are applied by its first ``collect()``, as always;
+* **replay** — the climb back through the positions the descent measured
+  reads sizes already recorded, so the pass tests them against the abort
+  rule instead of swapping through them;
+* **checkpoint and rollback** — the node store is copied when a block's
+  sift starts (``BddManager._checkpoint``), and the block returns to its
+  start by restoring the copy (``BddManager._rollback``) instead of by
+  swaps: before it climbs past its start, and again when its best
+  position lies at or below the start and is nearer the start than the
+  block's current position;
+* **clean blocks** — :func:`sift_to_convergence` remembers each block its
+  sift left in place, with the order it was sifted from, and skips it
+  while the order is unchanged: it would read the same sizes and stay put.
+
+The final orders, returned orders and sizes are those of the return-trip
+engine, which swaps through every leg (kept as the reference in the test
+suite); only the swap count falls.
 """
 
 from __future__ import annotations
@@ -173,10 +202,18 @@ def sift(
     :meth:`~repro.bdd.BddManager.live_node_count`, which the manager keeps
     current across swaps, so each read is O(1).  The synthesis flow passes
     a :class:`~repro.bdd.SizeProbe` of its characteristic function
-    instead: a read recounts only the levels swapped since the previous
+    instead: a read recounts only the levels changed since the previous
     one, and returns exactly that function's ``size()``.  The pass performs
     exactly one :meth:`~repro.bdd.BddManager.collect` (here, up front); no
-    probe collects.
+    probe collects.  A metric must be a function of the variable order, as
+    both of these are while the sift holds the roots fixed, and must not
+    build BDDs.
+
+    Only new positions are reached by swapping: the climb back through
+    positions the descent measured is replayed from the recorded sizes,
+    and a block returns to its start by rolling the store back to a
+    checkpoint taken when its sift began.  Handle deaths queued while the
+    pass runs are applied after it returns (see the module docstring).
 
     ``profile`` (a :class:`repro.obs.SiftProfile`) receives one sample per
     block placement — the reorder-over-time trajectory.
@@ -184,6 +221,27 @@ def sift(
     manager.collect()
     if metric is None:
         metric = manager.live_node_count
+    with manager._roots_held():
+        return _sift_pass(
+            manager, constraints, groups, max_growth, metric, profile, {}
+        )
+
+
+def _sift_pass(
+    manager: BddManager,
+    constraints: Optional[PrecedenceConstraints],
+    groups: Optional[Sequence[Sequence[int]]],
+    max_growth: float,
+    metric,
+    profile,
+    clean: Dict[FrozenSet[int], List[int]],
+) -> int:
+    """One pass; the caller has collected and holds the roots.
+
+    ``clean`` maps a block to the variable order from which its last sift
+    left it in place; the block is skipped while the order is still that
+    one, and the map is updated as blocks are sifted.
+    """
     # One interaction matrix per pass: swaps between variables that co-occur
     # in no live root's support reduce to O(1) level-map updates.
     interaction = manager.interaction_pairs()
@@ -203,14 +261,24 @@ def sift(
     schedule.sort(key=lambda block: -sum(counts[v] for v in block))
 
     for block_vars in schedule:
-        index = where[next(iter(block_vars))]
-        block = blocks[index]
-        lo_idx, hi_idx = _block_index_bounds(blocks, index, constraints, where)
-        if lo_idx == hi_idx == index:
+        start = where[next(iter(block_vars))]
+        block = blocks[start]
+        lo_idx, hi_idx = _block_index_bounds(blocks, start, constraints, where)
+        if lo_idx == hi_idx == start:
+            continue
+        order = manager.current_order()
+        if clean.get(block_vars) == order:
+            # Sifted from this very order before and left in place: the
+            # same sizes would be read and it would stay put again.
+            if profile is not None:
+                profile.sample(
+                    "block", metric(), manager.swap_count, manager.counters()
+                )
             continue
 
         best_size = metric()
-        best_pos = current = index
+        best_pos = current = start
+        checkpoint = manager._checkpoint()
 
         def move(direction: int) -> None:
             nonlocal current
@@ -229,27 +297,52 @@ def sift(
                 where[var] = current + direction
             current += direction
 
-        # Phase 1: sift down towards hi_idx.
+        def return_to_start(last: bool) -> None:
+            nonlocal current
+            manager._rollback(checkpoint, last)
+            blocks.insert(start, blocks.pop(current))
+            for j in range(min(start, current), max(start, current) + 1):
+                for var in blocks[j]:
+                    where[var] = j
+            current = start
+
+        # Phase 1: sift down towards hi_idx, recording each size.
+        sizes = [best_size]  # sizes[pos - start]
         while current < hi_idx:
             move(+1)
             size = metric()
+            sizes.append(size)
             if size < best_size:
                 best_size, best_pos = size, current
             elif size > best_size * max_growth:
                 break
-        # Phase 2: sift up towards lo_idx.
-        while current > lo_idx:
-            move(-1)
-            size = metric()
-            if size < best_size:
-                best_size, best_pos = size, current
-            elif size > best_size * max_growth:
-                break
-        # Phase 3: freeze at the best position seen.
+        # Phase 2 climbs back through the positions phase 1 measured before
+        # it reaches new ones.  Their sizes are recorded and none is below
+        # the best, so only the abort rule could end the climb there; if it
+        # does not, return by rollback and climb on from the start.
+        limit = best_size * max_growth
+        if lo_idx < start and all(
+            size <= limit for size in sizes[:current - start]
+        ):
+            if current != start:
+                return_to_start(last=False)
+            while current > lo_idx:
+                move(-1)
+                size = metric()
+                if size < best_size:
+                    best_size, best_pos = size, current
+                elif size > best_size * max_growth:
+                    break
+        # Phase 3: freeze at the best position seen, from the start when
+        # that is nearer.
+        if current != start and abs(best_pos - start) < abs(best_pos - current):
+            return_to_start(last=True)
         while current < best_pos:
             move(+1)
         while current > best_pos:
             move(-1)
+        if current == start:
+            clean[block_vars] = order
         if profile is not None:
             profile.sample(
                 "block", metric(), manager.swap_count, manager.counters()
@@ -270,30 +363,37 @@ def sift_to_convergence(
 ) -> int:
     """Repeat sifting passes until the size metric stops improving.
 
+    Each pass is a :func:`sift` (one ``collect()`` each).  A block whose
+    previous sift left it in place is skipped while the variable order is
+    the one it was sifted from, so the last pass, which only confirms
+    convergence, skips every block sifted since the order last changed.
+
     ``profile`` collects the start/per-pass/end size-and-swap trajectory.
     """
     manager.collect()
     if metric is None:
         metric = manager.live_node_count
-    size = metric()
-    if profile is not None:
-        profile.start(size, manager.swap_count, manager.counters())
-    try:
-        for _ in range(max_passes):
-            new_size = sift(
-                manager, constraints=constraints, groups=groups,
-                metric=metric, profile=profile,
-            )
+    with manager._roots_held():
+        size = metric()
+        if profile is not None:
+            profile.start(size, manager.swap_count, manager.counters())
+        clean: Dict[FrozenSet[int], List[int]] = {}
+        try:
+            for _ in range(max_passes):
+                manager.collect()
+                new_size = _sift_pass(
+                    manager, constraints, groups, 2.0, metric, profile, clean
+                )
+                if profile is not None:
+                    profile.sample(
+                        "pass", new_size, manager.swap_count, manager.counters()
+                    )
+                if new_size >= size:
+                    return new_size
+                size = new_size
+            return size
+        finally:
             if profile is not None:
                 profile.sample(
-                    "pass", new_size, manager.swap_count, manager.counters()
+                    "end", metric(), manager.swap_count, manager.counters()
                 )
-            if new_size >= size:
-                return new_size
-            size = new_size
-        return size
-    finally:
-        if profile is not None:
-            profile.sample(
-                "end", metric(), manager.swap_count, manager.counters()
-            )

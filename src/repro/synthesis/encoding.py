@@ -20,6 +20,7 @@ The reactive function maps *test outcomes* to *action selections*:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import BddManager, Function, MultiValuedVar
@@ -289,37 +290,28 @@ class ReactiveEncoding:
             [n for n in ordered if n in self.state_domains]
         )
         constraint = self.manager.false
-        assignment = [0] * len(ordered)
-
-        def recurse(i: int) -> None:
-            nonlocal constraint
-            if i == len(ordered):
-                env = dict(zip(ordered, assignment))
-                if allowed is not None:
-                    combo = tuple(
-                        env[n] for n in ordered if n in self.state_domains
-                    )
-                    if combo not in allowed:
-                        return  # unreachable state: a sequential don't-care
-                cube = self.manager.true
-                for name, value in env.items():
-                    if name in self.state_mvars:
-                        cube = cube & self.state_mvars[name].equals(value)
-                for test in tests:
-                    var = self.opaque_var[test.key()]
-                    lit = (
-                        self.manager.var(var)
-                        if test.expr.evaluate(env)
-                        else self.manager.nvar(var)
-                    )
-                    cube = cube & lit
-                constraint = constraint | cube
-                return
-            for value in range(sizes[i]):
-                assignment[i] = value
-                recurse(i + 1)
-
-        recurse(0)
+        # A flat loop, not a recursive closure: a closure that calls itself
+        # is a reference cycle, and its cell would keep the constraint's
+        # handle alive until the cyclic collector happened to run.
+        for assignment in itertools.product(*(range(size) for size in sizes)):
+            env = dict(zip(ordered, assignment))
+            if allowed is not None:
+                combo = tuple(env[n] for n in ordered if n in self.state_domains)
+                if combo not in allowed:
+                    continue  # unreachable state: a sequential don't-care
+            cube = self.manager.true
+            for name, value in env.items():
+                if name in self.state_mvars:
+                    cube = cube & self.state_mvars[name].equals(value)
+            for test in tests:
+                var = self.opaque_var[test.key()]
+                lit = (
+                    self.manager.var(var)
+                    if test.expr.evaluate(env)
+                    else self.manager.nvar(var)
+                )
+                cube = cube & lit
+            constraint = constraint | cube
         return constraint
 
     def _allowed_state_combos(self, state_names: List[str]):

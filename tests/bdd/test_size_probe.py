@@ -1,10 +1,18 @@
 """SizeProbe must return exactly ``Function.size()`` whatever moved in between."""
 
+import gc
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager, SizeProbe, move_var_to_level, sift_to_convergence
+from repro.bdd import (
+    BddManager,
+    SizeProbe,
+    apply_order,
+    move_var_to_level,
+    sift_to_convergence,
+)
 
 from .test_property import N_VARS, boolexprs, build_bdd
 
@@ -146,3 +154,110 @@ def test_constant_function():
     m.swap_levels(0)
     m.swap_levels(1)
     assert probe() == m.true.size() == 1
+
+
+# -- checkpoints and rollbacks -------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(boolexprs(), seeds)
+def test_probe_after_rollback(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    rng = random.Random(seed)
+    random_swaps(m, rng, rng.randint(0, 4))
+    assert probe() == f.size()
+    order = m.current_order()
+    with m._roots_held():
+        checkpoint = m._checkpoint()
+        for last in (False, False, True):
+            random_swaps(m, rng, rng.randint(1, 6))
+            assert probe() == f.size()
+            m._rollback(checkpoint, last=last)
+            assert m.current_order() == order
+            assert probe() == f.size()
+            m.check()
+    random_swaps(m, rng, rng.randint(1, 4))
+    assert probe() == f.size()
+    m.check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(boolexprs(), seeds)
+def test_rollback_is_the_only_change_since_the_last_read(tree, seed):
+    m, f, g = manager_with(tree)
+    probe = SizeProbe(f)
+    rng = random.Random(seed)
+    assert probe() == f.size()
+    with m._roots_held():
+        checkpoint = m._checkpoint()
+        # The top variable sinks to the bottom: every level changes.
+        move_var_to_level(m, m.var_at(0), m.num_vars - 1)
+        random_swaps(m, rng, rng.randint(0, 3))
+        assert probe() == f.size()
+        m._rollback(checkpoint, last=True)
+        assert probe() == f.size()
+    m.check()
+
+
+# -- a handle dropped mid-sift -------------------------------------------------
+
+
+def _random_dnf(m, rng, variables, cubes):
+    f = m.false
+    for _ in range(cubes):
+        cube = m.true
+        for var in rng.sample(variables, rng.randint(2, 4)):
+            cube = cube & (m.var(var) if rng.random() < 0.5 else m.nvar(var))
+        f = f | cube
+    return f
+
+
+def _physical_nodes(m, edges):
+    seen = set()
+    stack = [edge >> 1 for edge in edges]
+    while stack:
+        nid = stack.pop()
+        if nid and nid not in seen:
+            seen.add(nid)
+            stack.append(m._lo[nid] >> 1)
+            stack.append(m._hi[nid] >> 1)
+    return len(seen)
+
+
+def _sift_dropping_at(read):
+    """Sift ``f`` by its probe while ``g``, held only by a reference cycle,
+    is freed by the cyclic collector at the metric's ``read``-th call."""
+    m = BddManager()
+    rng = random.Random(5)
+    variables = [m.new_var() for _ in range(10)]
+    f = _random_dnf(m, rng, variables, 10)
+    holder = [_random_dnf(m, rng, variables[4:], 14)]
+    holder.append(holder)
+    roots = [f.id] if read else [f.id, holder[0].id]
+    apply_order(m, variables[::2] + variables[1::2])
+    probe = SizeProbe(f)
+    reads = 0
+
+    def metric():
+        nonlocal reads, holder
+        reads += 1
+        if reads == read:
+            holder = None
+            gc.collect()
+        return probe()
+
+    before = m.swap_count
+    final = sift_to_convergence(m, metric=metric)
+    outcome = (m.current_order(), final, m.swap_count - before)
+    assert read is None or reads >= read, "the drop never happened"
+    m.collect()
+    assert m.live_node_count() == _physical_nodes(m, roots)
+    m.check()
+    return outcome
+
+
+@pytest.mark.parametrize("read", [1, 2, 17, 60, 150])
+def test_handle_dropped_mid_sift(read):
+    kept = _sift_dropping_at(None)
+    assert _sift_dropping_at(read) == kept

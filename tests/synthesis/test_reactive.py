@@ -1,8 +1,12 @@
 """Tests for the characteristic-function construction."""
 
+import gc
+from pathlib import Path
+
 import pytest
 
 from repro.cfsm import BinOp, CfsmBuilder, Const, Emit, Var, react
+from repro.frontend import compile_source
 from repro.synthesis import ConsistencyError, synthesize_reactive
 from repro.synthesis.encoding import FireFlag
 
@@ -145,3 +149,27 @@ class TestConsistency:
         b.transition(when=[b.present(a)], do=[b.assign(s, Const(2))])
         rf = synthesize_reactive(b.build(), check=False)
         assert rf.chi is not None
+
+
+RSL_DIR = Path(__file__).resolve().parents[2] / "examples" / "rsl"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in RSL_DIR.glob("*.rsl")))
+def test_no_handle_waits_for_the_cyclic_collector(name):
+    """Synthesis leaves no BDD handle in a reference cycle.
+
+    Sifting ranks blocks over the live handles, so a handle that dies only
+    when the cyclic collector runs would make the swap count depend on when
+    it ran.
+    """
+    source = (RSL_DIR / f"{name}.rsl").read_text(encoding="utf-8")
+    cfsm = compile_source(source)
+    gc.collect()
+    gc.disable()
+    try:
+        rf = synthesize_reactive(cfsm)
+        live = len(rf.manager._handles)
+        gc.collect()
+        assert len(rf.manager._handles) == live
+    finally:
+        gc.enable()
