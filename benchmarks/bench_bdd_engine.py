@@ -34,14 +34,23 @@ scenario is the synthesis flow's own sift path instead: ``sifted_order``
 over the shock absorber's ``damping_logic`` characteristic function,
 whose size probe (:class:`repro.bdd.SizeProbe`) recounts only the levels
 each move swapped.
+
+The ``reactive`` section times the step before sifting,
+``synthesize_reactive`` (care set, conditions, χ) over the 17 example
+modules, and reports its summed χ size, ITE cache misses and peak nodes;
+``--check`` gates the χ size and the ITE misses.  The ``provenance``
+block records where the figures were taken.
 """
 
 import argparse
 import json
 import os
+import platform
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from repro.bdd import BddManager, apply_order, sift_to_convergence
 from repro.obs import BDD_BENCH_FORMAT, validate_bdd_bench
@@ -56,11 +65,26 @@ from repro.obs import BDD_BENCH_FORMAT, validate_bdd_bench
 #   function, as the sift metric (the code before SizeProbe): the median
 #   of 13 best-of-5 runs, interleaved with runs of the probe, on the 2-core
 #   VM that measured BENCH_bdd.json (the probe's median there: 0.0734 s).
+# * reactive: the construction that OR-ed one cube per enumerated joint
+#   assignment into the care set and left-folded conditions and spec:
+#   the median of 13 best-of-5 runs, interleaved with runs of the
+#   distinct-cube construction, on the same VM (their median: 0.0326 s).
 _BASELINE = {
     "small": {"wall_s": 1.0905, "swaps": 2925, "final_size": 484},
     "stress": {"wall_s": 4.2605, "swaps": 3041, "final_size": 1487},
     "chi": {"wall_s": 0.1487, "swaps": 4514, "final_size": 86},
+    "reactive": {
+        "wall_s": 0.0524,
+        "chi_size": 675,
+        "ite_misses": 5728,
+        "peak_nodes": 5595,
+    },
 }
+
+# Timed scenarios report the best of this many runs.
+BEST_OF = 5
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _stress_function(manager, n_pairs=8, seed=3, cubes=24):
@@ -293,7 +317,7 @@ def _chi_scenario():
     ``sifted_order`` on the shock absorber's ``damping_logic`` (41
     variables): reset to the naive order, then sift to convergence by the
     characteristic function's semantic size, probed after every move.
-    wall_s is the best of 5 runs on fresh reactive functions; the
+    wall_s is the best of BEST_OF runs on fresh reactive functions; the
     counters are deterministic and equal in every run.
     """
     from repro.apps import shock_network
@@ -302,7 +326,7 @@ def _chi_scenario():
 
     machine = shock_network().machine("damping_logic")
     walls = []
-    for _ in range(5):
+    for _ in range(BEST_OF):
         rf = synthesize_reactive(machine)
         manager = rf.manager
         manager.swap_count = 0
@@ -319,6 +343,78 @@ def _chi_scenario():
         "collects": manager.collect_count,
         "final_size": rf.chi.size(),
     }
+
+
+def _reactive_scenario():
+    """``synthesize_reactive`` over the 17 example modules, fresh managers.
+
+    Builds each module's encoding, care set, conditions and χ at the
+    naive order, with no sifting.  wall_s is the best of BEST_OF runs over
+    all 17; χ size, ITE cache misses and peak nodes are summed over the
+    modules and equal in every run.
+    """
+    from repro.frontend import compile_source
+    from repro.synthesis import synthesize_reactive
+
+    machines = [
+        compile_source(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "examples" / "rsl").glob("*.rsl"))
+    ]
+    walls = []
+    for _ in range(BEST_OF):
+        chi_size = ite_misses = peak_nodes = 0
+        wall = 0.0
+        for machine in machines:
+            t0 = time.perf_counter()
+            rf = synthesize_reactive(machine)
+            wall += time.perf_counter() - t0
+            chi_size += rf.chi.size()
+            ite_misses += rf.manager.ite_misses
+            peak_nodes += rf.manager.peak_nodes
+        walls.append(wall)
+    return {
+        "modules": len(machines),
+        "wall_s": round(min(walls), 4),
+        "chi_size": chi_size,
+        "ite_misses": ite_misses,
+        "peak_nodes": peak_nodes,
+    }
+
+
+def _provenance():
+    """Where the figures were taken: host, interpreter, revision.
+
+    The revision is ``HEAD``'s hash, suffixed ``-dirty`` when the
+    checkout has uncommitted changes (a report is usually regenerated
+    before the change that carries it is committed).
+    """
+    revision = None
+    if (ROOT / ".git").exists():
+        try:
+            done = subprocess.run(
+                ["git", "-C", str(ROOT), "describe", "--always", "--dirty",
+                 "--abbrev=40", "--exclude=*"],
+                capture_output=True, text=True, timeout=30, check=False,
+            )
+            revision = done.stdout.strip() or None
+        except (OSError, subprocess.TimeoutExpired):  # no git on the host
+            pass
+    return {
+        "nproc": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "git_revision": revision,
+        "best_of": BEST_OF,
+    }
+
+
+def _with_speedup(scenario, baseline):
+    """Attach ``baseline`` and the wall-clock speedup against it."""
+    scenario["baseline"] = dict(baseline)
+    if scenario["wall_s"] > 0:
+        scenario["speedup"] = round(baseline["wall_s"] / scenario["wall_s"], 2)
+    else:
+        scenario["speedup"] = float("inf")
 
 
 def run_report(smoke=False):
@@ -341,13 +437,9 @@ def run_report(smoke=False):
     for name, scenario in sift.items():
         baseline = _BASELINE.get(name)
         if baseline is not None:
-            scenario["baseline"] = dict(baseline)
-            if scenario["wall_s"] > 0:
-                scenario["speedup"] = round(
-                    baseline["wall_s"] / scenario["wall_s"], 2
-                )
-            else:
-                scenario["speedup"] = float("inf")
+            _with_speedup(scenario, baseline)
+    reactive = _reactive_scenario()
+    _with_speedup(reactive, _BASELINE["reactive"])
     # Aggregate kernel counters from a representative run: the stress sift
     # re-executed on a fresh manager, followed by a cofactor/quantification
     # drive on the sifted function.  Sifting alone never restricts or
@@ -376,18 +468,26 @@ def run_report(smoke=False):
         "smoke": smoke,
         "workloads": workloads,
         "sift": sift,
+        "reactive": reactive,
         "counters": counters,
         "store": store,
+        "provenance": _provenance(),
     }
 
 
 def check_against_reference(report, reference):
-    """Compare deterministic sift counters against the committed reference.
+    """Compare deterministic counters against the committed reference.
 
-    Returns a list of regression strings (empty means the gate passes).
-    Wall-clock is intentionally not gated — only counted quantities.
+    Gates the sift counters and the ``reactive`` fields the reference
+    lists (χ size and ITE misses).  Returns a list of regression strings
+    (empty means the gate passes).  Wall-clock is intentionally not
+    gated — only counted quantities.
     """
     problems = []
+    for field, want in reference.get("reactive", {}).items():
+        got = report["reactive"][field]
+        if got != want:
+            problems.append(f"reactive.{field}: {got} != reference {want}")
     for name, ref in reference.get("sift", {}).items():
         got = report["sift"].get(name)
         if got is None:
@@ -431,6 +531,12 @@ def main(argv=None):
         if "speedup" in scenario:
             line += f", {scenario['speedup']}x vs baseline"
         print(line)
+    reactive = report["reactive"]
+    print(
+        f"  reactive[{reactive['modules']} modules]: {reactive['wall_s']}s, "
+        f"chi {reactive['chi_size']}, {reactive['ite_misses']} ITE misses, "
+        f"peak {reactive['peak_nodes']}, {reactive['speedup']}x vs baseline"
+    )
 
     if args.check:
         with open(args.check) as fh:

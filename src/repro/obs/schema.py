@@ -10,7 +10,7 @@ in a raising form.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .runtrace import RUN_EVENT_KINDS, RUN_TRACE_FORMAT
 
@@ -57,6 +57,8 @@ BDD_BENCH_FORMAT = "repro-bdd-bench/v2"
 #: Deterministic per-scenario sift fields (counted, not timed — these must
 #: reproduce exactly and are what the CI regression gate compares).
 _BENCH_SIFT_COUNTERS = ("swaps", "swap_skips", "collects", "final_size")
+#: Optional ``reactive`` section: summed over the example modules.
+_BENCH_REACTIVE_COUNTERS = ("modules", "chi_size", "ite_misses", "peak_nodes")
 #: v2 node-store section: memory footprint and complement-edge statistics.
 #: Interpreter-dependent (sys.getsizeof) — reported, never gated.
 _BENCH_STORE_FIELDS = (
@@ -285,8 +287,37 @@ def validate_run_trace(doc: Dict[str, Any]) -> List[str]:
     return errors
 
 
+def _bench_scenario_errors(
+    where: str, sc: Any, counters: Tuple[str, ...]
+) -> List[str]:
+    """Errors of one timed bench scenario: wall, counters, baseline."""
+    if not isinstance(sc, dict):
+        return [f"{where}: not an object"]
+    errors: List[str] = []
+    if not isinstance(sc.get("wall_s"), (int, float)) or sc["wall_s"] < 0:
+        errors.append(f"{where}: wall_s must be a non-negative number")
+    for field in counters:
+        if not _is_int(sc.get(field)) or sc[field] < 0:
+            errors.append(f"{where}: {field} must be a non-negative integer")
+    baseline = sc.get("baseline")
+    if baseline is not None:
+        if not isinstance(baseline, dict):
+            errors.append(f"{where}: baseline is not an object")
+        else:
+            if not isinstance(baseline.get("wall_s"), (int, float)):
+                errors.append(f"{where}: baseline.wall_s must be a number")
+            if not isinstance(sc.get("speedup"), (int, float)):
+                errors.append(f"{where}: baseline present but no speedup")
+    return errors
+
+
 def validate_bdd_bench(doc: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro-bdd-bench/v2`` report (BENCH_bdd.json)."""
+    """Structural check of a ``repro-bdd-bench/v2`` report (BENCH_bdd.json).
+
+    The ``reactive`` and ``provenance`` sections are optional, so reports
+    written before they existed still validate; when present they are
+    checked.
+    """
     errors: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
@@ -315,24 +346,28 @@ def validate_bdd_bench(doc: Dict[str, Any]) -> List[str]:
         errors.append("'sift' missing, not an object, or empty")
         sift = {}
     for name, sc in sift.items():
-        where = f"sift[{name!r}]"
-        if not isinstance(sc, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if not isinstance(sc.get("wall_s"), (int, float)) or sc["wall_s"] < 0:
-            errors.append(f"{where}: wall_s must be a non-negative number")
-        for field in _BENCH_SIFT_COUNTERS:
-            if not _is_int(sc.get(field)) or sc[field] < 0:
-                errors.append(f"{where}: {field} must be a non-negative integer")
-        baseline = sc.get("baseline")
-        if baseline is not None:
-            if not isinstance(baseline, dict):
-                errors.append(f"{where}: baseline is not an object")
-            else:
-                if not isinstance(baseline.get("wall_s"), (int, float)):
-                    errors.append(f"{where}: baseline.wall_s must be a number")
-                if not isinstance(sc.get("speedup"), (int, float)):
-                    errors.append(f"{where}: baseline present but no speedup")
+        errors.extend(
+            _bench_scenario_errors(f"sift[{name!r}]", sc, _BENCH_SIFT_COUNTERS)
+        )
+    if "reactive" in doc:
+        errors.extend(_bench_scenario_errors(
+            "reactive", doc["reactive"], _BENCH_REACTIVE_COUNTERS
+        ))
+    provenance = doc.get("provenance")
+    if provenance is not None:
+        if not isinstance(provenance, dict):
+            errors.append("'provenance' is not an object")
+        else:
+            for field in ("nproc", "best_of"):
+                if not _is_int(provenance.get(field)) or provenance[field] < 1:
+                    errors.append(
+                        f"provenance.{field} must be a positive integer"
+                    )
+            if not isinstance(provenance.get("python"), str):
+                errors.append("provenance.python must be a string")
+            revision = provenance.get("git_revision")
+            if revision is not None and not isinstance(revision, str):
+                errors.append("provenance.git_revision must be a string or null")
     counters = doc.get("counters")
     if not isinstance(counters, dict):
         errors.append("'counters' missing or not an object")

@@ -14,7 +14,10 @@ The reactive function maps *test outcomes* to *action selections*:
   correlations between opaque tests (and state bits) that read the same
   small-domain data are recovered by exhaustive enumeration and contributed
   to the **care set** — the paper's "false paths ... determined ... by
-  computing event incompatibility relations" (Sec. III-C);
+  computing event incompatibility relations" (Sec. III-C).  The
+  enumeration visits every joint assignment, but each distinct outcome
+  vector (encoded state values and test outcomes) gives one cube, and the
+  constraint is the balanced OR of those cubes;
 * every distinct action becomes one binary output variable.
 """
 
@@ -154,10 +157,11 @@ class ReactiveEncoding:
             if name is None:
                 continue
             mvar = self.state_mvars[name]
-            fn = self.manager.false
-            for value in range(mvar.num_values):
-                if test.expr.evaluate({name: value}):
-                    fn = fn | mvar.equals(value)
+            fn = mvar.in_set([
+                value
+                for value in range(mvar.num_values)
+                if test.expr.evaluate({name: value})
+            ])
             self.folded_tests[test.key()] = (name, fn)
         # Outputs.
         for action in cfsm.all_actions():
@@ -219,13 +223,19 @@ class ReactiveEncoding:
             )
             for state in self.reachable_states
         }
-        constraint = self.manager.false
-        for combo in projected:
-            cube = self.manager.true
-            for name, value in zip(encoded, combo):
-                cube = cube & self.state_mvars[name].equals(value)
-            constraint = constraint | cube
-        return constraint
+        return self.manager.disjoin(
+            self.manager.cube(self._state_literals(encoded, combo))
+            for combo in projected
+        )
+
+    def _state_literals(
+        self, names: Sequence[str], values: Sequence[int]
+    ) -> Dict[int, bool]:
+        """Bit literals of ``name == value`` over encoded state variables."""
+        literals: Dict[int, bool] = {}
+        for name, value in zip(names, values):
+            literals.update(self.state_mvars[name].encode(value))
+        return literals
 
     def _correlation_components(self) -> List[List[ExprTest]]:
         """Connected components of opaque tests sharing a read variable."""
@@ -267,6 +277,15 @@ class ReactiveEncoding:
         return result
 
     def _enumerate_component(self, tests: List[ExprTest]) -> Optional[Function]:
+        """Care constraint of one correlated group of opaque tests.
+
+        Enumerates every joint assignment of the data and state variables
+        the tests read (``None`` when a domain is unbounded or the joint
+        domain exceeds ``enum_limit``), skipping unreachable state
+        combinations.  The constraint is the set of outcome vectors that
+        occur: each distinct vector of encoded state values and test
+        outcomes gives one cube, and the result is their OR.
+        """
         names: Set[str] = set()
         for test in tests:
             names.update(test.expr.variables())
@@ -289,30 +308,31 @@ class ReactiveEncoding:
         allowed = self._allowed_state_combos(
             [n for n in ordered if n in self.state_domains]
         )
-        constraint = self.manager.false
+        encoded = [n for n in ordered if n in self.state_mvars]
+        # Outcome keys in first-seen order.  Data values matter only
+        # through the tests they decide, so many assignments share a key.
+        keys: Dict[Tuple, None] = {}
         # A flat loop, not a recursive closure: a closure that calls itself
-        # is a reference cycle, and its cell would keep the constraint's
-        # handle alive until the cyclic collector happened to run.
+        # is a reference cycle, and its cell would keep BDD handles alive
+        # until the cyclic collector happened to run.
         for assignment in itertools.product(*(range(size) for size in sizes)):
             env = dict(zip(ordered, assignment))
             if allowed is not None:
                 combo = tuple(env[n] for n in ordered if n in self.state_domains)
                 if combo not in allowed:
                     continue  # unreachable state: a sequential don't-care
-            cube = self.manager.true
-            for name, value in env.items():
-                if name in self.state_mvars:
-                    cube = cube & self.state_mvars[name].equals(value)
-            for test in tests:
-                var = self.opaque_var[test.key()]
-                lit = (
-                    self.manager.var(var)
-                    if test.expr.evaluate(env)
-                    else self.manager.nvar(var)
-                )
-                cube = cube & lit
-            constraint = constraint | cube
-        return constraint
+            key = tuple(env[n] for n in encoded) + tuple(
+                bool(test.expr.evaluate(env)) for test in tests
+            )
+            keys[key] = None
+        test_vars = [self.opaque_var[test.key()] for test in tests]
+        split = len(encoded)
+        cubes = []
+        for key in keys:
+            literals = self._state_literals(encoded, key[:split])
+            literals.update(zip(test_vars, key[split:]))
+            cubes.append(self.manager.cube(literals))
+        return self.manager.disjoin(cubes)
 
     def _allowed_state_combos(self, state_names: List[str]):
         """Reachable joint valuations of ``state_names`` (None = no info)."""

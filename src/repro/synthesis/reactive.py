@@ -42,17 +42,20 @@ class ReactiveFunction:
         self.cfsm = encoding.cfsm
         self.manager: BddManager = encoding.manager
 
-        self.conditions: Dict[Tuple, Function] = {}
-        for action in encoding.actions:
-            self.conditions[action.key()] = self.manager.false
-        fire_condition = self.manager.false
-        for transition in self.cfsm.transitions:
-            cube = encoding.guard_function(transition.guard)
-            fire_condition = fire_condition | cube
+        # Each condition is one balanced OR of the guard cubes of the
+        # transitions carrying the action, and fire_condition one of every
+        # guard: a balanced tree keeps the intermediate BDDs small.
+        guards = [encoding.guard_function(t.guard) for t in self.cfsm.transitions]
+        cubes_of: Dict[Tuple, List[Function]] = {
+            action.key(): [] for action in encoding.actions
+        }
+        for transition, cube in zip(self.cfsm.transitions, guards):
             for action in transition.actions:
-                key = action.key()
-                self.conditions[key] = self.conditions[key] | cube
-        self.fire_condition = fire_condition
+                cubes_of[action.key()].append(cube)
+        self.conditions: Dict[Tuple, Function] = {
+            key: self.manager.disjoin(cubes) for key, cubes in cubes_of.items()
+        }
+        self.fire_condition = self.manager.disjoin(guards)
 
         self.care: Function = encoding.care
         # A transition that is enabled without executing any visible action
@@ -60,21 +63,23 @@ class ReactiveFunction:
         # detected (Sec. IV-D).  When such inputs exist, synthesize a
         # virtual FIRE output covering them.
         visible = self.manager.disjoin(self.conditions.values())
-        if not (fire_condition & ~visible & self.care).is_false:
+        if not (self.fire_condition & ~visible & self.care).is_false:
             var = encoding.add_virtual_output(FireFlag(), "act_fire")
-            self.conditions[FireFlag().key()] = fire_condition
+            self.conditions[FireFlag().key()] = self.fire_condition
 
-        spec = self.manager.true
-        for action in encoding.actions:
-            out = self.manager.var(encoding.action_vars[action.key()])
-            spec = spec & out.iff(self.conditions[action.key()])
-        self.spec = spec
+        # spec = AND_j (o_j <-> cond_j), one balanced AND over the actions.
+        self.spec = self.manager.conjoin(
+            self.manager.var(encoding.action_vars[action.key()]).iff(
+                self.conditions[action.key()]
+            )
+            for action in encoding.actions
+        )
         # chi = care & spec: inputs outside the care set make chi
         # unsatisfiable, so the s-graph builder routes them to END through
         # *infeasible* edges — the paper's false paths, excludable from
         # worst-case timing analysis (Sec. III-C).  The don't-care output
         # flexibility stays: an infeasible input demands no action at all.
-        self.chi: Function = self.care & spec
+        self.chi: Function = self.care & self.spec
 
     # -- views ---------------------------------------------------------------
 

@@ -174,6 +174,30 @@ class TestBddBenchValidation:
         doc["workloads"]["construction"]["ops"] = 0
         assert any("ops" in e for e in validate_bdd_bench(doc))
 
+    def test_reactive_and_provenance_are_optional_but_checked(self):
+        doc = valid_bench_doc()
+        doc["reactive"] = {
+            "modules": 17, "wall_s": 0.03, "chi_size": 675,
+            "ite_misses": 4596, "peak_nodes": 4794,
+            "baseline": {"wall_s": 0.06}, "speedup": 2.0,
+        }
+        doc["provenance"] = {
+            "nproc": 2, "python": "3.12.1", "git_revision": None, "best_of": 5,
+        }
+        assert validate_bdd_bench(doc) == []
+        bad = json.loads(json.dumps(doc))
+        bad["reactive"]["ite_misses"] = -1
+        del bad["reactive"]["speedup"]
+        errors = validate_bdd_bench(bad)
+        assert any("ite_misses" in e for e in errors)
+        assert any("speedup" in e for e in errors)
+        bad = json.loads(json.dumps(doc))
+        bad["provenance"]["nproc"] = 0
+        bad["provenance"]["git_revision"] = 7
+        errors = validate_bdd_bench(bad)
+        assert any("nproc" in e for e in errors)
+        assert any("git_revision" in e for e in errors)
+
     def test_committed_bench_document_is_valid(self):
         """BENCH_bdd.json at the repo root must always pass the schema."""
         path = os.path.join(REPO_ROOT, "BENCH_bdd.json")
@@ -186,6 +210,10 @@ class TestBddBenchValidation:
         for name in ("stress", "chi"):
             scenario = doc["sift"][name]
             assert "baseline" in scenario and "speedup" in scenario, name
+        # The reactive-construction scenario with its baseline, and where
+        # the figures were taken.
+        assert "baseline" in doc["reactive"] and "speedup" in doc["reactive"]
+        assert doc["provenance"]["best_of"] >= 1
 
     def test_committed_reference_counters_are_valid(self):
         path = os.path.join(
