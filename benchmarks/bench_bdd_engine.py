@@ -33,21 +33,27 @@ Every scenario above sifts by the physical live-node count.  The ``chi``
 scenario is the synthesis flow's own sift path instead: ``sifted_order``
 over the shock absorber's ``damping_logic`` characteristic function,
 whose size probe (:class:`repro.bdd.SizeProbe`) recounts only the levels
-each move swapped.
+each move swapped.  That sift explores on a private copy of χ, so its
+swaps are the exploration's plus the moves of the shared manager to each
+pass's order.
 
 The ``reactive`` section times the step before sifting,
 ``synthesize_reactive`` (care set, conditions, χ) over the 17 example
 modules, and reports its summed χ size, ITE cache misses and peak nodes;
 ``--check`` gates the χ size and the ITE misses.  The ``provenance``
 block records where the figures were taken.
+
+Each timed scenario (the sift scenarios and ``reactive``) times the best
+of ``BEST_OF`` runs on fresh inputs; a full report's ``wall_s`` is the
+median of ``RUNS`` such best-of runs (smoke mode: one), and ``speedup``
+is taken from that median.
 """
 
 import argparse
 import json
 import os
-import platform
 import random
-import subprocess
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -81,8 +87,10 @@ _BASELINE = {
     },
 }
 
-# Timed scenarios report the best of this many runs.
+# Timed scenarios report the best of this many runs, and a full report
+# the median of RUNS such best-of runs.
 BEST_OF = 5
+RUNS = 5
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -229,30 +237,28 @@ def _workload_cofactor_quantify(repeats):
     return _timed_ops(run, repeats * (len(variables) + 2))
 
 
-def _sift_scenario(n_pairs, cubes):
-    """Pessimized-order stress sift: the kernel's headline scenario.
+def _sift_scenario(prepare, cubes):
+    """Sift ``prepare()``'s manager to convergence by its live-node count.
 
-    Deterministic by construction (fixed seed, fixed tie-breaks): the swap
-    count, collect() count, and final size must reproduce exactly on every
-    machine; only wall_s varies.
+    Deterministic by construction (fixed seeds, fixed tie-breaks): the
+    swap count, collect() count, and final size must reproduce exactly on
+    every machine; only wall_s, the best of BEST_OF runs on fresh
+    managers, varies.
     """
-    manager = BddManager()
-    variables, f = _stress_function(manager, n_pairs=n_pairs, cubes=cubes)
-    order = [v for v in variables if v % 2 == 0] + [
-        v for v in variables if v % 2 == 1
-    ]
-    apply_order(manager, order)
-    manager.swap_count = 0
-    manager.swap_skips = 0
-    manager.collect_count = 0
-    t0 = time.perf_counter()
-    final_size = sift_to_convergence(manager)
-    wall = time.perf_counter() - t0
-    assert f.size() > 0  # root stayed live throughout
+    walls = []
+    for _ in range(BEST_OF):
+        manager, roots = prepare()
+        manager.swap_count = 0
+        manager.swap_skips = 0
+        manager.collect_count = 0
+        t0 = time.perf_counter()
+        final_size = sift_to_convergence(manager)
+        walls.append(time.perf_counter() - t0)
+        assert all(r.size() > 0 for r in roots)  # every root stayed live
     return {
-        "n_vars": len(variables),
+        "n_vars": manager.num_vars,
         "cubes": cubes,
-        "wall_s": round(wall, 4),
+        "wall_s": round(min(walls), 4),
         "swaps": manager.swap_count,
         "swap_skips": manager.swap_skips,
         "collects": manager.collect_count,
@@ -260,14 +266,24 @@ def _sift_scenario(n_pairs, cubes):
     }
 
 
-def _independent_scenario(n_clusters=4, vars_per_cluster=5, cubes=10, seed=11):
-    """Sift over disjoint root supports: the interaction-matrix showcase.
+def _stress_input(n_pairs, cubes):
+    """Pessimized-order stress DNF: the kernel's headline scenario."""
+    manager = BddManager()
+    variables, f = _stress_function(manager, n_pairs=n_pairs, cubes=cubes)
+    order = [v for v in variables if v % 2 == 0] + [
+        v for v in variables if v % 2 == 1
+    ]
+    apply_order(manager, order)
+    return manager, [f]
+
+
+def _independent_input(n_clusters=4, vars_per_cluster=5, cubes=10, seed=11):
+    """Disjoint root supports: the interaction-matrix showcase.
 
     Each cluster's function touches only its own variables, the clusters
     are interleaved into a pessimal order, and every root is kept live —
     so cross-cluster swaps are non-interacting and reduce to pure
-    level-map updates (``swap_skips``).  Deterministic like the stress
-    scenarios: the skip count is part of the CI gate.
+    level-map updates (``swap_skips``, part of the CI gate).
     """
     manager = BddManager()
     rng = random.Random(seed)
@@ -292,23 +308,15 @@ def _independent_scenario(n_clusters=4, vars_per_cluster=5, cubes=10, seed=11):
         for c in range(n_clusters)
     ]
     apply_order(manager, order)
-    manager.swap_count = 0
-    manager.swap_skips = 0
-    manager.collect_count = 0
-    t0 = time.perf_counter()
-    final_size = sift_to_convergence(manager)
-    wall = time.perf_counter() - t0
-    assert all(r.size() > 0 for r in roots)  # every root stayed live
-    assert manager.swap_skips > 0, "interaction fast path never fired"
-    return {
-        "n_vars": n_clusters * vars_per_cluster,
-        "cubes": n_clusters * cubes,
-        "wall_s": round(wall, 4),
-        "swaps": manager.swap_count,
-        "swap_skips": manager.swap_skips,
-        "collects": manager.collect_count,
-        "final_size": final_size,
-    }
+    # The last cube and literal built stay live too: the gated counters
+    # were pinned with them among the roots.
+    return manager, roots + [cube, literal]
+
+
+def _independent_scenario():
+    scenario = _sift_scenario(_independent_input, cubes=40)
+    assert scenario["swap_skips"] > 0, "interaction fast path never fired"
+    return scenario
 
 
 def _chi_scenario():
@@ -381,31 +389,13 @@ def _reactive_scenario():
     }
 
 
-def _provenance():
-    """Where the figures were taken: host, interpreter, revision.
-
-    The revision is ``HEAD``'s hash, suffixed ``-dirty`` when the
-    checkout has uncommitted changes (a report is usually regenerated
-    before the change that carries it is committed).
-    """
-    revision = None
-    if (ROOT / ".git").exists():
-        try:
-            done = subprocess.run(
-                ["git", "-C", str(ROOT), "describe", "--always", "--dirty",
-                 "--abbrev=40", "--exclude=*"],
-                capture_output=True, text=True, timeout=30, check=False,
-            )
-            revision = done.stdout.strip() or None
-        except (OSError, subprocess.TimeoutExpired):  # no git on the host
-            pass
-    return {
-        "nproc": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "python": platform.python_version(),
-        "git_revision": revision,
-        "best_of": BEST_OF,
-    }
+def _median_of_runs(runs, scenario, *args):
+    """Run ``scenario(*args)`` ``runs`` times; the counters must repeat,
+    and wall_s becomes the median of the runs' best-of walls."""
+    results = [scenario(*args) for _ in range(runs)]
+    walls = [result.pop("wall_s") for result in results]
+    assert all(r == results[0] for r in results), "counters moved between runs"
+    return {**results[0], "wall_s": round(statistics.median(walls), 4)}
 
 
 def _with_speedup(scenario, baseline):
@@ -419,7 +409,10 @@ def _with_speedup(scenario, baseline):
 
 def run_report(smoke=False):
     """Build the full ``repro-bdd-bench/v2`` report document."""
+    from provenance import bench_provenance  # benchmarks/, beside this file
+
     repeats = 3 if smoke else 20
+    runs = 1 if smoke else RUNS
     workloads = {
         "construction": _workload_construction(repeats),
         "swap_ladder": _workload_swap_ladder(repeats),
@@ -429,16 +422,20 @@ def run_report(smoke=False):
     # The sift scenarios always run in full: their counters are the CI
     # regression gate and must be comparable between smoke and full runs.
     sift = {
-        "small": _sift_scenario(8, 24),
-        "stress": _sift_scenario(10, 48),
-        "independent": _independent_scenario(),
-        "chi": _chi_scenario(),
+        "small": _median_of_runs(
+            runs, _sift_scenario, lambda: _stress_input(8, 24), 24
+        ),
+        "stress": _median_of_runs(
+            runs, _sift_scenario, lambda: _stress_input(10, 48), 48
+        ),
+        "independent": _median_of_runs(runs, _independent_scenario),
+        "chi": _median_of_runs(runs, _chi_scenario),
     }
     for name, scenario in sift.items():
         baseline = _BASELINE.get(name)
         if baseline is not None:
             _with_speedup(scenario, baseline)
-    reactive = _reactive_scenario()
+    reactive = _median_of_runs(runs, _reactive_scenario)
     _with_speedup(reactive, _BASELINE["reactive"])
     # Aggregate kernel counters from a representative run: the stress sift
     # re-executed on a fresh manager, followed by a cofactor/quantification
@@ -471,7 +468,7 @@ def run_report(smoke=False):
         "reactive": reactive,
         "counters": counters,
         "store": store,
-        "provenance": _provenance(),
+        "provenance": bench_provenance(best_of=BEST_OF, runs=runs),
     }
 
 

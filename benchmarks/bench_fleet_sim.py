@@ -50,6 +50,7 @@ from repro.fleet.crosscheck import materialize_stream, scalar_reference_run
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_report
+from provenance import bench_provenance
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -168,6 +169,8 @@ def run_report(smoke=False):
             "jobs4_digest": jobs4["digest"],
             "match": jobs1["digest"] == jobs4["digest"],
         },
+        # Every leg above is timed once.
+        "provenance": bench_provenance(repetitions=1),
     }
     return doc
 

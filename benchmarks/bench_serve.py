@@ -51,6 +51,7 @@ from repro.serve import ServeClient, ServeConfig, serve_in_thread
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_report
+from provenance import bench_provenance
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -393,6 +394,8 @@ def run_report(smoke=False):
             "conformance": _conformance_leg(sizes, conformance_cache),
             "backpressure": _backpressure_leg(),
             "soak": _soak_leg(sizes),
+            # Every leg above runs once.
+            "provenance": bench_provenance(repetitions=1),
         }
     finally:
         shutil.rmtree(latency_cache, ignore_errors=True)

@@ -1920,7 +1920,7 @@ class BddManager:
         self._level_of_var[y] = level
 
     # ------------------------------------------------------------------
-    # Checkpoints: undoing a sift's exploration without swapping back
+    # Checkpoints and copies: a sift's exploration, off the live store
     # ------------------------------------------------------------------
 
     def _checkpoint(self) -> _Checkpoint:
@@ -1979,6 +1979,38 @@ class BddManager:
             if stamp > since:
                 stamps[level] = clock
         cp.since = clock
+
+    def _copy_function(self, f: Function) -> Function:
+        """``f`` alone, in a new manager with these variables at this order.
+
+        Variable ids, names and levels are this manager's, so a variable,
+        a group or a precedence pair means the same in both.  The copy is
+        built bottom-up through ``_mk``, so it is in canonical form.
+        """
+        store = BddManager(self.cache_limit)
+        for name in self._var_names:
+            store.new_var(name)
+        store._level_of_var = self._level_of_var[:]
+        store._var_at_level = self._var_at_level[:]
+        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        nodes: Set[int] = set()
+        stack = [f.id >> 1]
+        while stack:
+            nid = stack.pop()
+            if nid and nid not in nodes:
+                nodes.add(nid)
+                stack.append(lo_arr[nid] >> 1)
+                stack.append(hi_arr[nid] >> 1)
+        level_of = self._level_of_var
+        copied = {0: TRUE_ID}  # slot here -> regular edge in the copy
+        for nid in sorted(nodes, key=lambda n: level_of[var_arr[n]], reverse=True):
+            lo, hi = lo_arr[nid], hi_arr[nid]
+            copied[nid] = store._mk(
+                var_arr[nid],
+                copied[lo >> 1] ^ (lo & 1),
+                copied[hi >> 1] ^ (hi & 1),
+            )
+        return store._wrap(copied[f.id >> 1] ^ (f.id & 1))
 
     # ------------------------------------------------------------------
     # Counters

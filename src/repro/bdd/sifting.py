@@ -52,7 +52,15 @@ on positions not yet measured:
   block's current position;
 * **clean blocks** — :func:`sift_to_convergence` remembers each block its
   sift left in place, with the order it was sifted from, and skips it
-  while the order is unchanged: it would read the same sizes and stay put.
+  while the order is unchanged: it would read the same sizes and stay put;
+* **private store** — a bare :class:`~repro.bdd.SizeProbe` of ``f`` reads
+  ``f`` alone, so the sift copies ``f`` once into a manager of its own,
+  with the same variables at the same order, and explores there: swaps,
+  probe reads, checkpoints, rollbacks and the clean-block skip touch
+  ``f``'s nodes only.  Each pass still ranks its schedule by the shared
+  manager's counts over every held root, and the shared manager then
+  moves to the order the pass found, unless it is unchanged.  Its swap
+  counters take over the private ones, so they count every swap made.
 
 The final orders, returned orders and sizes are those of the return-trip
 engine, which swaps through every leg (kept as the reference in the test
@@ -61,9 +69,11 @@ suite); only the swap count falls.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
-from .manager import BddManager
+from .manager import BddManager, SizeProbe
 
 __all__ = ["PrecedenceConstraints", "sift", "sift_to_convergence", "move_var_to_level"]
 
@@ -204,27 +214,87 @@ def sift(
     a :class:`~repro.bdd.SizeProbe` of its characteristic function
     instead: a read recounts only the levels changed since the previous
     one, and returns exactly that function's ``size()``.  The pass performs
-    exactly one :meth:`~repro.bdd.BddManager.collect` (here, up front); no
-    probe collects.  A metric must be a function of the variable order, as
-    both of these are while the sift holds the roots fixed, and must not
-    build BDDs.
+    exactly one :meth:`~repro.bdd.BddManager.collect` of the manager
+    (here, up front); no probe collects.  A metric must be a function of
+    the variable order, as both of these are while the sift holds the
+    roots fixed, and must not build BDDs.
 
     Only new positions are reached by swapping: the climb back through
     positions the descent measured is replayed from the recorded sizes,
     and a block returns to its start by rolling the store back to a
-    checkpoint taken when its sift began.  Handle deaths queued while the
-    pass runs are applied after it returns (see the module docstring).
+    checkpoint taken when its sift began.  A bare ``SizeProbe`` of ``f``
+    is read on a private copy of ``f``, where the pass explores, and the
+    manager then moves to the order found.  Handle deaths queued while
+    the pass runs are applied after it returns (see the module docstring).
 
     ``profile`` (a :class:`repro.obs.SiftProfile`) receives one sample per
     block placement — the reorder-over-time trajectory.
     """
     manager.collect()
-    if metric is None:
-        metric = manager.live_node_count
-    with manager._roots_held():
-        return _sift_pass(
-            manager, constraints, groups, max_growth, metric, profile, {}
+    store, metric = _exploration(manager, metric)
+    with manager._roots_held(), store._roots_held():
+        return _pass(
+            manager, store, constraints, groups, max_growth, metric, profile, {}
         )
+
+
+def _exploration(
+    manager: BddManager, metric
+) -> Tuple[BddManager, Callable[[], int]]:
+    """The store a sift explores on, and the metric read there.
+
+    A bare :class:`SizeProbe` of ``f`` reads ``f`` alone, so the sift
+    explores on a private copy of ``f`` with the manager's variables and
+    order.  Its swap and ITE counters start from the manager's, so the
+    samples a profile takes there read sift totals and the manager's ITE
+    hit rate.  Any other metric may read any root, and the sift explores
+    in place.
+    """
+    if metric is None:
+        return manager, manager.live_node_count
+    if type(metric) is not SizeProbe or metric.function.manager is not manager:
+        return manager, metric
+    root = manager._copy_function(metric.function)
+    store = root.manager
+    store.swap_count, store.swap_skips = manager.swap_count, manager.swap_skips
+    store.ite_hits, store.ite_misses = manager.ite_hits, manager.ite_misses
+    return store, SizeProbe(root)
+
+
+def _pass(
+    manager: BddManager,
+    store: BddManager,
+    constraints: Optional[PrecedenceConstraints],
+    groups: Optional[Sequence[Sequence[int]]],
+    max_growth: float,
+    metric,
+    profile,
+    clean: Dict[FrozenSet[int], List[int]],
+) -> int:
+    """One pass exploring on ``store``; the caller has collected
+    ``manager`` and holds the roots of both.
+
+    The schedule is ranked by ``manager``'s counts over every root.  After
+    a pass on a private store, ``manager`` takes over its swap counters
+    and moves to its order.
+    """
+    counts = manager.reachable_counts_by_var()
+    if store is manager:
+        return _sift_pass(
+            manager, constraints, groups, max_growth, metric, profile, clean,
+            counts,
+        )
+    store.collect()
+    size = _sift_pass(
+        store, constraints, groups, max_growth, metric, profile, clean, counts
+    )
+    manager.swap_count, manager.swap_skips = store.swap_count, store.swap_skips
+    order = store.current_order()
+    if order != manager.current_order():
+        for level, var in enumerate(order):
+            move_var_to_level(manager, var, level)
+        store.swap_count = manager.swap_count
+    return size
 
 
 def _sift_pass(
@@ -235,12 +305,15 @@ def _sift_pass(
     metric,
     profile,
     clean: Dict[FrozenSet[int], List[int]],
+    counts: List[int],
 ) -> int:
     """One pass; the caller has collected and holds the roots.
 
-    ``clean`` maps a block to the variable order from which its last sift
-    left it in place; the block is skipped while the order is still that
-    one, and the map is updated as blocks are sifted.
+    Blocks are scheduled by ``counts``, the per-variable populations of
+    :meth:`~repro.bdd.BddManager.reachable_counts_by_var`.  ``clean`` maps
+    a block to the variable order from which its last sift left it in
+    place; the block is skipped while the order is still that one, and the
+    map is updated as blocks are sifted.
     """
     # One interaction matrix per pass: swaps between variables that co-occur
     # in no live root's support reduce to O(1) level-map updates.
@@ -256,7 +329,6 @@ def _sift_pass(
     # what the per-variable physical node counts of a complement-free kernel
     # would be, so the processing order — and hence the final variable order
     # — is independent of complement-edge sharing.
-    counts = manager.reachable_counts_by_var()
     schedule: List[FrozenSet[int]] = [frozenset(block) for block in blocks]
     schedule.sort(key=lambda block: -sum(counts[v] for v in block))
 
@@ -363,30 +435,32 @@ def sift_to_convergence(
 ) -> int:
     """Repeat sifting passes until the size metric stops improving.
 
-    Each pass is a :func:`sift` (one ``collect()`` each).  A block whose
-    previous sift left it in place is skipped while the variable order is
-    the one it was sifted from, so the last pass, which only confirms
-    convergence, skips every block sifted since the order last changed.
+    Each pass is a :func:`sift` (one ``collect()`` each), and a bare
+    ``SizeProbe`` is read on one private copy for all of them.  A block
+    whose previous sift left it in place is skipped while the variable
+    order is the one it was sifted from, so the last pass, which only
+    confirms convergence, skips every block sifted since the order last
+    changed, and moves nothing.
 
     ``profile`` collects the start/per-pass/end size-and-swap trajectory.
     """
     manager.collect()
-    if metric is None:
-        metric = manager.live_node_count
-    with manager._roots_held():
+    store, metric = _exploration(manager, metric)
+    with manager._roots_held(), store._roots_held():
         size = metric()
         if profile is not None:
-            profile.start(size, manager.swap_count, manager.counters())
+            profile.start(size, store.swap_count, store.counters())
         clean: Dict[FrozenSet[int], List[int]] = {}
         try:
             for _ in range(max_passes):
                 manager.collect()
-                new_size = _sift_pass(
-                    manager, constraints, groups, 2.0, metric, profile, clean
+                new_size = _pass(
+                    manager, store, constraints, groups, 2.0, metric, profile,
+                    clean,
                 )
                 if profile is not None:
                     profile.sample(
-                        "pass", new_size, manager.swap_count, manager.counters()
+                        "pass", new_size, store.swap_count, store.counters()
                     )
                 if new_size >= size:
                     return new_size
@@ -395,5 +469,5 @@ def sift_to_convergence(
         finally:
             if profile is not None:
                 profile.sample(
-                    "end", metric(), manager.swap_count, manager.counters()
+                    "end", metric(), store.swap_count, store.counters()
                 )

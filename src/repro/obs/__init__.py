@@ -52,6 +52,7 @@ from .history import (
 )
 from .profile import SiftProfile, SiftSample
 from .report import (
+    render_bdd_bench,
     render_build_report,
     render_difftest_report,
     render_difftest_repro,
@@ -137,6 +138,7 @@ __all__ = [
     "render_difftest_report",
     "render_difftest_repro",
     "render_verify_report",
+    "render_bdd_bench",
     "render_sim_bench",
     "render_serve_bench",
     "render_report",

@@ -14,6 +14,7 @@ from typing import Any, Dict, List
 from .core import Histogram, read_trace_file
 from .runtrace import RunTrace
 from .schema import (
+    BDD_BENCH_FORMAT,
     BENCH_HISTORY_FORMAT,
     BUILD_TRACE_FORMAT,
     DIFFTEST_REPORT_FORMAT,
@@ -26,7 +27,7 @@ from .schema import (
 
 __all__ = ["render_build_report", "render_run_report",
            "render_difftest_report", "render_difftest_repro",
-           "render_verify_report", "render_sim_bench",
+           "render_verify_report", "render_bdd_bench", "render_sim_bench",
            "render_serve_bench", "render_report", "report_file"]
 
 
@@ -47,6 +48,17 @@ def _series(values: List[Any], fmt: str = "{}", points: int = 6) -> str:
         step = (len(values) - 1) / (points - 1)
         values = [values[round(i * step)] for i in range(points)]
     return " -> ".join(fmt.format(v) for v in values)
+
+
+def _provenance_line(provenance: Dict[str, Any]) -> str:
+    """Where a bench document's figures were taken, in one line."""
+    if not provenance:
+        return "provenance: not recorded"
+    host = ("nproc", "python", "git_revision")
+    return "provenance: " + ", ".join(
+        [f"{key}={provenance.get(key)}" for key in host]
+        + [f"{k}={v}" for k, v in sorted(provenance.items()) if k not in host]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +431,57 @@ def render_verify_report(doc: Dict[str, Any], top: int = 10) -> str:
 
 
 # ----------------------------------------------------------------------
+# BDD-engine benchmark reports
+# ----------------------------------------------------------------------
+
+
+def _speedup(scenario: Dict[str, Any]) -> str:
+    speedup = scenario.get("speedup")
+    return f"{speedup:.2f}x" if isinstance(speedup, (int, float)) else "-"
+
+
+def render_bdd_bench(doc: Dict[str, Any], top: int = 10) -> str:
+    """Summarize a ``repro-bdd-bench/v2`` report (BENCH_bdd.json)."""
+    del top  # uniform renderer signature; this report has no top-N table
+    lines = [_rule("BDD engine bench" + (" (smoke)" if doc.get("smoke") else ""))]
+    workloads = doc.get("workloads", {})
+    if workloads:
+        lines.append(f"  {'workload':18s} {'ops':>7s} {'wall s':>9s} {'ops/s':>11s}")
+        for name, wl in sorted(workloads.items()):
+            lines.append(
+                f"  {name:18s} {wl.get('ops', 0):7d} "
+                f"{wl.get('wall_s', 0.0):9.4f} {wl.get('ops_per_sec', 0.0):11,.1f}"
+            )
+    sift = doc.get("sift", {})
+    if sift:
+        lines.append("")
+        lines.append(
+            f"  {'sift scenario':18s} {'swaps':>7s} {'skips':>7s} "
+            f"{'collects':>8s} {'final':>7s} {'wall s':>9s} {'speedup':>8s}"
+        )
+        for name, sc in sorted(sift.items()):
+            lines.append(
+                f"  {name:18s} {sc.get('swaps', 0):7d} "
+                f"{sc.get('swap_skips', 0):7d} {sc.get('collects', 0):8d} "
+                f"{sc.get('final_size', 0):7d} {sc.get('wall_s', 0.0):9.4f} "
+                f"{_speedup(sc):>8s}"
+            )
+    reactive = doc.get("reactive")
+    if reactive:
+        lines.append("")
+        lines.append(
+            f"reactive: {reactive.get('modules', 0)} modules, "
+            f"chi {reactive.get('chi_size', 0)} nodes, "
+            f"{reactive.get('ite_misses', 0)} ITE misses, "
+            f"peak {reactive.get('peak_nodes', 0)} nodes, "
+            f"{reactive.get('wall_s', 0.0):.4f} s ({_speedup(reactive)})"
+        )
+    lines.append("")
+    lines.append(_provenance_line(doc.get("provenance", {})))
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
 # Fleet-simulation benchmark reports
 # ----------------------------------------------------------------------
 
@@ -463,6 +526,7 @@ def render_sim_bench(doc: Dict[str, Any], top: int = 10) -> str:
             f"determinism: --jobs 1 vs --jobs 4 fleet digests {verdict} "
             f"({determinism.get('jobs1_digest', '')[:16]}...)"
         )
+    lines.append(_provenance_line(doc.get("provenance", {})))
     return "\n".join(lines)
 
 
@@ -532,6 +596,7 @@ def render_serve_bench(doc: Dict[str, Any], top: int = 10) -> str:
             f"{soak.get('leaked_workers', 0)} leaked workers, "
             f"{soak.get('pin_files', 0)} stale cache pins"
         )
+    lines.append(_provenance_line(doc.get("provenance", {})))
     return "\n".join(lines)
 
 
@@ -553,6 +618,8 @@ def render_report(doc: Dict[str, Any], top: int = 10) -> str:
         return render_difftest_repro(doc, top=top)
     if fmt == VERIFY_REPORT_FORMAT:
         return render_verify_report(doc, top=top)
+    if fmt == BDD_BENCH_FORMAT:
+        return render_bdd_bench(doc, top=top)
     if fmt == SIM_BENCH_FORMAT:
         return render_sim_bench(doc, top=top)
     if fmt == SERVE_BENCH_FORMAT:

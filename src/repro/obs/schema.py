@@ -311,12 +311,35 @@ def _bench_scenario_errors(
     return errors
 
 
+def _provenance_errors(
+    doc: Dict[str, Any], counts: Tuple[str, ...], optional: Tuple[str, ...] = ()
+) -> List[str]:
+    """Errors of a bench document's optional ``provenance`` block: host
+    CPUs, Python version, git revision and its repetition ``counts``."""
+    provenance = doc.get("provenance")
+    if provenance is None:
+        return []
+    if not isinstance(provenance, dict):
+        return ["'provenance' is not an object"]
+    errors = []
+    present = tuple(field for field in optional if field in provenance)
+    for field in ("nproc",) + counts + present:
+        if not _is_int(provenance.get(field)) or provenance[field] < 1:
+            errors.append(f"provenance.{field} must be a positive integer")
+    if not isinstance(provenance.get("python"), str):
+        errors.append("provenance.python must be a string")
+    revision = provenance.get("git_revision")
+    if revision is not None and not isinstance(revision, str):
+        errors.append("provenance.git_revision must be a string or null")
+    return errors
+
+
 def validate_bdd_bench(doc: Dict[str, Any]) -> List[str]:
     """Structural check of a ``repro-bdd-bench/v2`` report (BENCH_bdd.json).
 
-    The ``reactive`` and ``provenance`` sections are optional, so reports
-    written before they existed still validate; when present they are
-    checked.
+    The ``reactive`` and ``provenance`` sections, and provenance's
+    ``runs``, are optional, so reports written before they existed still
+    validate; when present they are checked.
     """
     errors: List[str] = []
     if not isinstance(doc, dict):
@@ -353,21 +376,7 @@ def validate_bdd_bench(doc: Dict[str, Any]) -> List[str]:
         errors.extend(_bench_scenario_errors(
             "reactive", doc["reactive"], _BENCH_REACTIVE_COUNTERS
         ))
-    provenance = doc.get("provenance")
-    if provenance is not None:
-        if not isinstance(provenance, dict):
-            errors.append("'provenance' is not an object")
-        else:
-            for field in ("nproc", "best_of"):
-                if not _is_int(provenance.get(field)) or provenance[field] < 1:
-                    errors.append(
-                        f"provenance.{field} must be a positive integer"
-                    )
-            if not isinstance(provenance.get("python"), str):
-                errors.append("provenance.python must be a string")
-            revision = provenance.get("git_revision")
-            if revision is not None and not isinstance(revision, str):
-                errors.append("provenance.git_revision must be a string or null")
+    errors.extend(_provenance_errors(doc, ("best_of",), ("runs",)))
     counters = doc.get("counters")
     if not isinstance(counters, dict):
         errors.append("'counters' missing or not an object")
@@ -406,7 +415,10 @@ def _validate_sim_leg(where: str, leg: Any, errors: List[str]) -> None:
 
 
 def validate_sim_bench(doc: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro-sim-bench/v1`` report (BENCH_sim.json)."""
+    """Structural check of a ``repro-sim-bench/v1`` report (BENCH_sim.json).
+
+    ``provenance`` is optional and checked when present.
+    """
     errors: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
@@ -450,6 +462,7 @@ def validate_sim_bench(doc: Dict[str, Any]) -> List[str]:
                 errors.append(f"determinism.{key} missing or not a string")
         if not isinstance(determinism.get("match"), bool):
             errors.append("determinism.match missing or not a boolean")
+    errors.extend(_provenance_errors(doc, ("repetitions",)))
     return errors
 
 
@@ -481,7 +494,10 @@ def _validate_serve_leg(where: str, leg: Any, errors: List[str],
 
 
 def validate_serve_bench(doc: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro-serve-bench/v1`` report (BENCH_serve.json)."""
+    """Structural check of a ``repro-serve-bench/v1`` report (BENCH_serve.json).
+
+    ``provenance`` is optional and checked when present.
+    """
     errors: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
@@ -551,6 +567,7 @@ def validate_serve_bench(doc: Dict[str, Any]) -> List[str]:
         for key in ("errors", "leaked_workers", "pin_files"):
             if not _is_int(soak.get(key)) or soak.get(key, 0) < 0:
                 errors.append(f"soak.{key} must be a non-negative integer")
+    errors.extend(_provenance_errors(doc, ("repetitions",)))
     return errors
 
 

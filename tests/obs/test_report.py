@@ -1,5 +1,10 @@
 """The shared reporter behind ``repro report``."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.obs import (
@@ -126,3 +131,71 @@ class TestVerifyReport:
         from repro.obs import render_report
 
         assert "static verify" in render_report(self._doc())
+
+
+class TestBddBenchReport:
+    def _doc(self):
+        from .test_schema import valid_bench_doc
+
+        doc = valid_bench_doc()
+        doc["sift"]["chi"] = {
+            "wall_s": 0.03, "swaps": 1474, "swap_skips": 0, "collects": 3,
+            "final_size": 86,
+        }
+        doc["reactive"] = {
+            "modules": 17, "wall_s": 0.0326, "chi_size": 675,
+            "ite_misses": 4596, "peak_nodes": 4794,
+            "baseline": {"wall_s": 0.0524}, "speedup": 1.61,
+        }
+        doc["provenance"] = {
+            "nproc": 2, "python": "3.11.7", "git_revision": "abc",
+            "best_of": 5, "runs": 5,
+        }
+        return doc
+
+    def test_every_section_is_shown(self):
+        from repro.obs import render_bdd_bench
+
+        text = render_bdd_bench(self._doc())
+        assert text.startswith("== BDD engine bench (smoke)")
+        assert "construction" in text and "12.0" in text
+        stress = next(ln for ln in text.splitlines() if "stress" in ln)
+        assert "3041" in stress and "1487" in stress and "3.46x" in stress
+        chi = next(ln for ln in text.splitlines() if ln.strip().startswith("chi"))
+        assert "1474" in chi and chi.rstrip().endswith("-")
+        assert "reactive: 17 modules, chi 675 nodes, 4596 ITE misses" in text
+        assert "(1.61x)" in text
+        assert "nproc=2" in text and "runs=5" in text and "best_of=5" in text
+
+    def test_dispatch_and_missing_provenance(self):
+        doc = self._doc()
+        del doc["provenance"], doc["reactive"]
+        text = render_report(doc)
+        assert text.startswith("== BDD engine bench")
+        assert "provenance: not recorded" in text
+        assert "reactive:" not in text
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+COMMITTED_BENCH = sorted(REPO_ROOT.glob("BENCH_*.json"))
+
+
+def test_every_bench_format_is_committed():
+    assert {p.name for p in COMMITTED_BENCH} >= {
+        "BENCH_bdd.json", "BENCH_sim.json", "BENCH_serve.json",
+    }
+
+
+@pytest.mark.parametrize("path", COMMITTED_BENCH, ids=lambda p: p.name)
+def test_committed_bench_document_renders(path):
+    """``repro report`` validates and renders every committed document."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "report", str(path)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("== ")

@@ -198,6 +198,17 @@ class TestBddBenchValidation:
         assert any("nproc" in e for e in errors)
         assert any("git_revision" in e for e in errors)
 
+    def test_provenance_runs_are_optional_but_checked(self):
+        doc = valid_bench_doc()
+        doc["provenance"] = {
+            "nproc": 2, "python": "3.12.1", "git_revision": "abc", "best_of": 5,
+        }
+        assert validate_bdd_bench(doc) == []
+        doc["provenance"]["runs"] = 5
+        assert validate_bdd_bench(doc) == []
+        doc["provenance"]["runs"] = 0
+        assert any("provenance.runs" in e for e in validate_bdd_bench(doc))
+
     def test_committed_bench_document_is_valid(self):
         """BENCH_bdd.json at the repo root must always pass the schema."""
         path = os.path.join(REPO_ROOT, "BENCH_bdd.json")
@@ -214,6 +225,8 @@ class TestBddBenchValidation:
         # the figures were taken.
         assert "baseline" in doc["reactive"] and "speedup" in doc["reactive"]
         assert doc["provenance"]["best_of"] >= 1
+        # A full report's walls are medians of at least five best-of runs.
+        assert not doc["smoke"] and doc["provenance"]["runs"] >= 5
 
     def test_committed_reference_counters_are_valid(self):
         path = os.path.join(
@@ -364,6 +377,26 @@ class TestSimBenchValidation:
 
         assert validate_sim_bench(valid_sim_doc()) == []
 
+    def test_provenance_is_optional_but_checked(self):
+        from repro.obs import validate_sim_bench
+
+        doc = valid_sim_doc()
+        doc["provenance"] = {
+            "nproc": 2, "python": "3.12.1", "git_revision": None,
+            "repetitions": 1,
+        }
+        assert validate_sim_bench(doc) == []
+        from repro.obs import render_report
+
+        assert "repetitions=1" in render_report(doc).splitlines()[-1]
+        doc["provenance"]["repetitions"] = 0
+        doc["provenance"]["python"] = 3
+        errors = validate_sim_bench(doc)
+        assert any("provenance.repetitions" in e for e in errors)
+        assert any("provenance.python" in e for e in errors)
+        doc["provenance"] = []
+        assert "'provenance' is not an object" in validate_sim_bench(doc)
+
     def test_wrong_format_and_missing_sections(self):
         from repro.obs import validate_sim_bench
 
@@ -425,3 +458,4 @@ class TestSimBenchValidation:
         assert doc["crosscheck"]["lanes"] > 0
         assert doc["crosscheck"]["mismatches"] == 0
         assert doc["determinism"]["match"]
+        assert doc["provenance"]["repetitions"] >= 1

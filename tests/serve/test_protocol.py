@@ -4,6 +4,7 @@ import json
 import socket
 import struct
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +180,22 @@ class TestServeBenchSchema:
         doc = _valid_bench_doc()
         doc["format"] = "repro-serve-bench/v2"
         assert validate_serve_bench(doc)
+
+    def test_provenance_is_optional_but_checked(self):
+        doc = _valid_bench_doc()
+        doc["provenance"] = {"nproc": 2, "python": "3.12.1",
+                             "git_revision": "abc", "repetitions": 1}
+        assert validate_serve_bench(doc) == []
+        del doc["provenance"]["repetitions"]
+        doc["provenance"]["git_revision"] = 7
+        errors = validate_serve_bench(doc)
+        assert any("provenance.repetitions" in e for e in errors)
+        assert any("provenance.git_revision" in e for e in errors)
+
+    def test_committed_document_is_valid(self):
+        """The committed BENCH_serve.json validates and says where it ran."""
+        path = Path(__file__).resolve().parents[2] / "BENCH_serve.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert validate_serve_bench(doc) == []
+        assert doc["provenance"]["repetitions"] >= 1
+        assert doc["conformance"]["mismatches"] == 0
