@@ -35,7 +35,11 @@ over the shock absorber's ``damping_logic`` characteristic function,
 whose size probe (:class:`repro.bdd.SizeProbe`) recounts only the levels
 each move swapped.  That sift explores on a private copy of χ, so its
 swaps are the exploration's plus the moves of the shared manager to each
-pass's order.
+pass's order.  The copy is the native C store whenever it builds, and
+``chi`` times both engines: ``wall_s`` is the native store's, and
+``python_wall_s`` the Python store's, from best-of runs of the two
+alternating in the same process, so both see the same host;
+``engine_speedup`` is their ratio.  Both must read the same counters.
 
 The ``reactive`` section times the step before sifting,
 ``synthesize_reactive`` (care set, conditions, χ) over the 17 example
@@ -50,6 +54,7 @@ is taken from that median.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -58,7 +63,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bdd import BddManager, apply_order, sift_to_convergence
+from repro.bdd import BddManager, apply_order, native, sift_to_convergence
 from repro.obs import BDD_BENCH_FORMAT, validate_bdd_bench
 
 # Baselines the sift scenarios below report a speedup against.  wall_s is
@@ -319,38 +324,64 @@ def _independent_scenario():
     return scenario
 
 
+@contextlib.contextmanager
+def _engine(name):
+    """Sift on the ``"native"`` or the ``"python"`` private store in the block."""
+    loaded = native.sift_library()
+    native._sift_library = loaded if name == "native" else None
+    try:
+        yield
+    finally:
+        native._sift_library = loaded
+
+
 def _chi_scenario():
     """The synthesis flow's heaviest sift, through its own entry point.
 
     ``sifted_order`` on the shock absorber's ``damping_logic`` (41
     variables): reset to the naive order, then sift to convergence by the
     characteristic function's semantic size, probed after every move.
-    wall_s is the best of BEST_OF runs on fresh reactive functions; the
-    counters are deterministic and equal in every run.
+    wall_s is the best of BEST_OF runs on fresh reactive functions, on
+    the native store when it builds; python_wall_s the best of as many
+    runs on the Python store, alternating with them.  The counters are
+    deterministic and equal in every run of either engine.
     """
     from repro.apps import shock_network
     from repro.sgraph import sifted_order
     from repro.synthesis import synthesize_reactive
 
     machine = shock_network().machine("damping_logic")
-    walls = []
+    engines = ("native", "python") if native.sift_library() else ("python",)
+    walls = {name: [] for name in engines}
+    counters = set()
     for _ in range(BEST_OF):
-        rf = synthesize_reactive(machine)
-        manager = rf.manager
-        manager.swap_count = 0
-        manager.swap_skips = 0
-        manager.collect_count = 0
-        t0 = time.perf_counter()
-        sifted_order(rf)
-        walls.append(time.perf_counter() - t0)
-    return {
+        for name in engines:
+            rf = synthesize_reactive(machine)
+            manager = rf.manager
+            manager.swap_count = 0
+            manager.swap_skips = 0
+            manager.collect_count = 0
+            with _engine(name):
+                t0 = time.perf_counter()
+                sifted_order(rf)
+                walls[name].append(time.perf_counter() - t0)
+            counters.add((
+                manager.swap_count, manager.swap_skips, manager.collect_count,
+                rf.chi.size(),
+            ))
+    assert len(counters) == 1, f"the engines' counters differ: {counters}"
+    ((swaps, swap_skips, collects, final_size),) = counters
+    scenario = {
         "n_vars": manager.num_vars,
-        "wall_s": round(min(walls), 4),
-        "swaps": manager.swap_count,
-        "swap_skips": manager.swap_skips,
-        "collects": manager.collect_count,
-        "final_size": rf.chi.size(),
+        "wall_s": round(min(walls[engines[0]]), 4),
+        "swaps": swaps,
+        "swap_skips": swap_skips,
+        "collects": collects,
+        "final_size": final_size,
     }
+    if len(engines) == 2:
+        scenario["python_wall_s"] = round(min(walls["python"]), 4)
+    return scenario
 
 
 def _reactive_scenario():
@@ -391,11 +422,21 @@ def _reactive_scenario():
 
 def _median_of_runs(runs, scenario, *args):
     """Run ``scenario(*args)`` ``runs`` times; the counters must repeat,
-    and wall_s becomes the median of the runs' best-of walls."""
+    and each wall (wall_s, python_wall_s) becomes the median of the runs'
+    best-of walls."""
     results = [scenario(*args) for _ in range(runs)]
-    walls = [result.pop("wall_s") for result in results]
+    medians = {}
+    for field in ("wall_s", "python_wall_s"):
+        walls = [result.pop(field) for result in results if field in result]
+        if walls:
+            medians[field] = round(statistics.median(walls), 4)
     assert all(r == results[0] for r in results), "counters moved between runs"
-    return {**results[0], "wall_s": round(statistics.median(walls), 4)}
+    summary = {**results[0], **medians}
+    if "python_wall_s" in summary and summary["wall_s"] > 0:
+        summary["engine_speedup"] = round(
+            summary["python_wall_s"] / summary["wall_s"], 2
+        )
+    return summary
 
 
 def _with_speedup(scenario, baseline):
@@ -527,6 +568,11 @@ def main(argv=None):
         )
         if "speedup" in scenario:
             line += f", {scenario['speedup']}x vs baseline"
+        if "engine_speedup" in scenario:
+            line += (
+                f"; python store {scenario['python_wall_s']}s, native "
+                f"{scenario['engine_speedup']}x faster"
+            )
         print(line)
     reactive = report["reactive"]
     print(

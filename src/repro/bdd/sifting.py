@@ -60,7 +60,13 @@ on positions not yet measured:
   ``f``'s nodes only.  Each pass still ranks its schedule by the shared
   manager's counts over every held root, and the shared manager then
   moves to the order the pass found, unless it is unchanged.  Its swap
-  counters take over the private ones, so they count every swap made.
+  counters take over the private ones, so they count every swap made;
+* **native store** — that private store is C (:mod:`repro.bdd.native`)
+  whenever the local ``cc`` builds it: the same canonical form, with no
+  caches and no handles, so its swaps, size reads, checkpoints and
+  rollbacks are C calls, and a size read is a walk of ``f``'s edges.
+  The pass loop below drives it unchanged, so every decision is taken
+  here, once; without a compiler the Python copy runs instead.
 
 The final orders, returned orders and sizes are those of the return-trip
 engine, which swaps through every leg (kept as the reference in the test
@@ -70,9 +76,11 @@ suite); only the swap count falls.
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+    Tuple,
 )
 
+from . import native
 from .manager import BddManager, SizeProbe
 
 __all__ = ["PrecedenceConstraints", "sift", "sift_to_convergence", "move_var_to_level"]
@@ -223,9 +231,10 @@ def sift(
     positions the descent measured is replayed from the recorded sizes,
     and a block returns to its start by rolling the store back to a
     checkpoint taken when its sift began.  A bare ``SizeProbe`` of ``f``
-    is read on a private copy of ``f``, where the pass explores, and the
-    manager then moves to the order found.  Handle deaths queued while
-    the pass runs are applied after it returns (see the module docstring).
+    is read on a private copy of ``f`` (native when it builds), where the
+    pass explores, and the manager then moves to the order found.  Handle
+    deaths queued while the pass runs are applied after it returns (see
+    the module docstring).
 
     ``profile`` (a :class:`repro.obs.SiftProfile`) receives one sample per
     block placement — the reorder-over-time trajectory.
@@ -238,22 +247,24 @@ def sift(
         )
 
 
-def _exploration(
-    manager: BddManager, metric
-) -> Tuple[BddManager, Callable[[], int]]:
+def _exploration(manager: BddManager, metric) -> Tuple[Any, Callable[[], int]]:
     """The store a sift explores on, and the metric read there.
 
     A bare :class:`SizeProbe` of ``f`` reads ``f`` alone, so the sift
     explores on a private copy of ``f`` with the manager's variables and
-    order.  Its swap and ITE counters start from the manager's, so the
-    samples a profile takes there read sift totals and the manager's ITE
-    hit rate.  Any other metric may read any root, and the sift explores
-    in place.
+    order: the native store, or a Python manager when that did not build.
+    Its swap and ITE counters start from the manager's, so the samples a
+    profile takes there read sift totals and the manager's ITE hit rate.
+    Any other metric may read any root, and the sift explores in place.
     """
     if metric is None:
         return manager, manager.live_node_count
     if type(metric) is not SizeProbe or metric.function.manager is not manager:
         return manager, metric
+    lib = native.sift_library()
+    if lib is not None:
+        native_store = native.NativeStore(lib, metric.function)
+        return native_store, native_store.size
     root = manager._copy_function(metric.function)
     store = root.manager
     store.swap_count, store.swap_skips = manager.swap_count, manager.swap_skips

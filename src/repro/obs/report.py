@@ -466,6 +466,14 @@ def render_bdd_bench(doc: Dict[str, Any], top: int = 10) -> str:
                 f"{sc.get('final_size', 0):7d} {sc.get('wall_s', 0.0):9.4f} "
                 f"{_speedup(sc):>8s}"
             )
+        for name, sc in sorted(sift.items()):
+            if "engine_speedup" in sc:
+                lines.append(
+                    f"  {name} engines, interleaved: native "
+                    f"{sc.get('wall_s', 0.0):.4f} s, python "
+                    f"{sc.get('python_wall_s', 0.0):.4f} s "
+                    f"({sc['engine_speedup']:.2f}x)"
+                )
     reactive = doc.get("reactive")
     if reactive:
         lines.append("")

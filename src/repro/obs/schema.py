@@ -308,6 +308,14 @@ def _bench_scenario_errors(
                 errors.append(f"{where}: baseline.wall_s must be a number")
             if not isinstance(sc.get("speedup"), (int, float)):
                 errors.append(f"{where}: baseline present but no speedup")
+    # Optional: the same scenario timed on the Python private store,
+    # interleaved with the native runs of wall_s.
+    if "python_wall_s" in sc or "engine_speedup" in sc:
+        python_wall = sc.get("python_wall_s")
+        if not isinstance(python_wall, (int, float)) or python_wall < 0:
+            errors.append(f"{where}: python_wall_s must be a non-negative number")
+        if not isinstance(sc.get("engine_speedup"), (int, float)):
+            errors.append(f"{where}: python_wall_s present but no engine_speedup")
     return errors
 
 

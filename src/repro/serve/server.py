@@ -91,6 +91,9 @@ class ServeServer:
         self._executor: Optional[PersistentProcessExecutor] = None
         self._queue: Optional[asyncio.Queue] = None
         self._dispatchers: List[asyncio.Task] = []
+        # Connection handler tasks and their writers, so shutdown can end
+        # the handlers of clients still connected.
+        self._connections: Dict[asyncio.Task, Any] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         self._cache_view: Optional[ArtifactCache] = None
@@ -136,10 +139,16 @@ class ServeServer:
         """Block until shutdown is requested, then drain and tear down."""
         await self._stopping.wait()
         self._server.close()
-        await self._server.wait_closed()
         # Let admitted work finish: the guarantee the soak test leans on.
         while self._queue.qsize() or self._active:
             await asyncio.sleep(0.01)
+        # Clients may still be connected, idle: closing their writers
+        # gives each handler a clean EOF, and it returns before the loop
+        # ends instead of being cancelled in read_frame.
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
         for dispatcher in self._dispatchers:
             dispatcher.cancel()
         await asyncio.gather(*self._dispatchers, return_exceptions=True)
@@ -200,6 +209,8 @@ class ServeServer:
 
     async def _on_connection(self, reader, writer) -> None:
         lock = asyncio.Lock()
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -215,6 +226,7 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[task]
 
     async def _admit(self, request: Dict[str, Any], writer,
                      lock: asyncio.Lock) -> None:

@@ -14,20 +14,22 @@ The *sift corpus* is every machine of ``examples/rsl``, the first 300
 build-cold benchmark corpus, each sifted with both constraint schemes,
 plus the three live-node functions of ``benchmarks/bench_bdd_engine.py``.
 The tier-1 tests sift a fixed part of it; the whole of it, with its swap
-totals pinned, runs as::
+totals pinned, runs once per engine of the library's private store (the
+native C store and the Python one, see :func:`engine`) as::
 
     PYTHONPATH=src python -m tests.bdd.sift_reference
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bdd import BddManager, SizeProbe, apply_order, sift_to_convergence
+from repro.bdd import BddManager, SizeProbe, apply_order, native, sift_to_convergence
 from repro.bdd.sifting import (
     PrecedenceConstraints,
     _block_index_bounds,
@@ -69,7 +71,10 @@ BUILD_COLD_CASES = 64
 
 LIVE_NODE_FUNCTIONS = ("small", "stress", "independent")
 
-#: (reference, library) swap totals of each part of the whole corpus.
+ENGINES = ("native", "python")
+
+#: (reference, library) swap totals of each part of the whole corpus, the
+#: same for both engines.
 #: The library column was re-pinned when sifting by a size probe moved to
 #: a private copy of χ: examples 6072 -> 6466, fuzz 24383 -> 26454 and
 #: build-cold 12442 -> 13363.  The exploration swaps are unchanged; the
@@ -82,6 +87,23 @@ CORPUS_SWAPS = {
     "build-cold": (28539, 13363),
     "live-node": (6977, 2953),
 }
+
+
+@contextlib.contextmanager
+def engine(name: str) -> Iterator[None]:
+    """Sift on the ``"native"`` or the ``"python"`` private store in the block.
+
+    Patches the loader's process-wide result; the native engine must load.
+    """
+    loaded = native.sift_library()
+    if name == "native" and loaded is None:
+        raise RuntimeError("the native sift store did not build or load")
+    saved = native._sift_library
+    native._sift_library = loaded if name == "native" else None
+    try:
+        yield
+    finally:
+        native._sift_library = saved
 
 
 # ----------------------------------------------------------------------
@@ -331,14 +353,23 @@ def crosscheck_corpus() -> Dict[str, Tuple[int, int]]:
 
 
 def main() -> int:
-    """Cross-check the whole corpus and compare its swap totals to the pins."""
-    summary = crosscheck_corpus()
-    for part, (reference, library) in summary.items():
-        print(f"{part}: identical decisions, {library} swaps (reference {reference})")
-    if summary != CORPUS_SWAPS:
-        print(f"swap totals {summary} != pinned {CORPUS_SWAPS}", file=sys.stderr)
-        return 1
-    return 0
+    """Cross-check the whole corpus with each engine against the pins."""
+    status = 0
+    for name in ENGINES:
+        with engine(name):
+            summary = crosscheck_corpus()
+        for part, (reference, library) in summary.items():
+            print(
+                f"{name} {part}: identical decisions, {library} swaps "
+                f"(reference {reference})"
+            )
+        if summary != CORPUS_SWAPS:
+            print(
+                f"{name} swap totals {summary} != pinned {CORPUS_SWAPS}",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,0 +1,29 @@
+"""The sift cross-checks again, on the Python private store.
+
+Sifting explores on the native store whenever it builds and loads; the
+Python store (``BddManager._copy_function``) is its oracle and the
+fallback without a compiler.  This module re-runs the tier-1 tests of
+``test_sift_reference`` and the sifting tests of
+``test_sift_private_store`` with the Python store forced.
+"""
+
+import pytest
+
+from .sift_reference import engine
+from .test_sift_private_store import (  # noqa: F401 - collected here again
+    test_private_sift_matches_in_place_sift,
+    test_private_sift_ranks_blocks_by_every_root,
+    test_shared_handle_dropped_mid_sift,
+)
+from .test_sift_reference import (  # noqa: F401 - collected here again
+    test_build_cold_machine,
+    test_example_module,
+    test_fuzz_machine,
+    test_live_node_function,
+)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def python_engine():
+    with engine("python"):
+        yield

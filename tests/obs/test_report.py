@@ -167,6 +167,18 @@ class TestBddBenchReport:
         assert "(1.61x)" in text
         assert "nproc=2" in text and "runs=5" in text and "best_of=5" in text
 
+    def test_engine_walls_are_shown(self):
+        from repro.obs import render_bdd_bench
+
+        doc = self._doc()
+        doc["sift"]["chi"].update(python_wall_s=0.0295, engine_speedup=2.89)
+        text = render_bdd_bench(doc)
+        assert (
+            "chi engines, interleaved: native 0.0300 s, python 0.0295 s (2.89x)"
+            in text
+        )
+        assert "stress engines" not in text
+
     def test_dispatch_and_missing_provenance(self):
         doc = self._doc()
         del doc["provenance"], doc["reactive"]

@@ -209,6 +209,18 @@ class TestBddBenchValidation:
         doc["provenance"]["runs"] = 0
         assert any("provenance.runs" in e for e in validate_bdd_bench(doc))
 
+    def test_engine_walls_are_optional_but_checked(self):
+        doc = valid_bench_doc()
+        doc["sift"]["stress"]["python_wall_s"] = 2.4
+        doc["sift"]["stress"]["engine_speedup"] = 2.0
+        assert validate_bdd_bench(doc) == []
+        bad = json.loads(json.dumps(doc))
+        del bad["sift"]["stress"]["engine_speedup"]
+        assert any("engine_speedup" in e for e in validate_bdd_bench(bad))
+        bad = json.loads(json.dumps(doc))
+        bad["sift"]["stress"]["python_wall_s"] = -1
+        assert any("python_wall_s" in e for e in validate_bdd_bench(bad))
+
     def test_committed_bench_document_is_valid(self):
         """BENCH_bdd.json at the repo root must always pass the schema."""
         path = os.path.join(REPO_ROOT, "BENCH_bdd.json")
@@ -221,6 +233,10 @@ class TestBddBenchValidation:
         for name in ("stress", "chi"):
             scenario = doc["sift"][name]
             assert "baseline" in scenario and "speedup" in scenario, name
+        # The chi scenario times the native and the Python private store,
+        # interleaved in one process.
+        chi = doc["sift"]["chi"]
+        assert chi["python_wall_s"] > 0 and chi["engine_speedup"] > 0
         # The reactive-construction scenario with its baseline, and where
         # the figures were taken.
         assert "baseline" in doc["reactive"] and "speedup" in doc["reactive"]
