@@ -10,8 +10,13 @@ networks per plane pass.  This benchmark measures that claim directly:
   :class:`repro.cfsm.network.NetworkSimulator` under the *same* stimulus
   stream (:func:`repro.fleet.crosscheck.scalar_reference_run`) and time
   reactions/second;
-* **fleet leg** — run the whole fleet on int planes and time
-  reactions/second; ``speedup`` is fleet over scalar;
+* **fleet legs** — run the whole fleet on each engine and time
+  reactions/second: ``int``, the big-int planes of ``FleetShard.step``
+  (the Python engine forced), and ``native``, the C shard run of
+  :mod:`repro.fleet.native`.  ``speedup`` is a leg over scalar, and the
+  native leg's ``engine_speedup`` is native over int.  Both engines run
+  alternately in one process: each leg's wall is the median over
+  ``ROUNDS`` rounds of the best of ``BEST_OF`` runs;
 * **cross-check** — sampled lanes must be bit-identical to the scalar
   simulator (states, flags, value buffers, lost-event and reaction
   counts);
@@ -25,14 +30,16 @@ Two entry points:
 * **report script** (``python benchmarks/bench_fleet_sim.py --json
   BENCH_sim.json``) — the machine-readable ``repro-sim-bench/v1``
   document the CI jobs feed ``repro bench-history --check`` (tracked
-  metric: the fleet speedup, reported under ``backends.int`` and gated
-  by ``benchmarks/results/bench_history_reference.json``).
+  metrics: ``backends.int.speedup`` and ``backends.native.engine_speedup``,
+  gated by ``benchmarks/results/bench_history_reference.json``).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``): smaller fleet,
 fewer steps, fewer scalar baseline lanes.
 """
 
+import contextlib
 import os
+import statistics
 import sys
 import time
 
@@ -45,6 +52,7 @@ from repro.fleet import (
     default_spec,
     run_fleet,
 )
+from repro.fleet import native
 from repro.fleet.crosscheck import materialize_stream, scalar_reference_run
 
 if __name__ == "__main__":  # script mode runs from anywhere
@@ -58,6 +66,16 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: at least this many times the scalar simulator's reactions/second on a
 #: >= 4096-instance dashboard fleet.  Smoke mode only requires > 1x.
 MIN_SPEEDUP = 20.0
+#: Full mode's gate on the native engine over the big-int planes on the
+#: same fleet.  Half a Python shard's time is its stimulus stream, which
+#: an exact replay in C makes only ~7x cheaper, so ~6-7x is the ceiling.
+MIN_ENGINE_SPEEDUP = 3.0
+#: Each fleet leg's wall: the median over ROUNDS of the best of BEST_OF
+#: runs, the engines alternating run by run.
+BEST_OF = 5
+ROUNDS = 5
+#: Fleet leg name -> the engine its shards run on.
+ENGINES = {"int": "python", "native": "native"}
 
 
 def _sizes(smoke):
@@ -89,16 +107,51 @@ def _scalar_leg(network, compiled, spec, config, lanes):
     }
 
 
-def _fleet_leg(network, compiled, config, scalar_rps):
-    summary = run_fleet(network, config, compiled=compiled)
-    rps = summary["reactions_per_sec"]
-    return {
-        "reactions": summary["reactions"],
-        "wall_s": round((summary["wall_ms"] - summary["compile_ms"]) / 1000.0,
-                        6),
-        "reactions_per_sec": round(rps, 1),
-        "speedup": round(rps / scalar_rps, 2) if scalar_rps else 0.0,
-    }
+@contextlib.contextmanager
+def _engine(name):
+    """Run shards on the ``"native"`` or the ``"python"`` engine in the block."""
+    loaded = native.fleet_library()
+    native._fleet_library = loaded if name == "native" else None
+    try:
+        yield
+    finally:
+        native._fleet_library = loaded
+
+
+def _fleet_legs(network, compiled, config, scalar_rps):
+    """The engines' legs, timed alternately; both must simulate the same
+    fleet.  Without a native engine only the int leg is timed."""
+    legs = ["int", "native"] if native.fleet_library() else ["int"]
+    rounds = {leg: [] for leg in legs}
+    outcomes = set()
+    for _ in range(ROUNDS):
+        best = {leg: float("inf") for leg in legs}
+        for _ in range(BEST_OF):
+            for leg in legs:
+                with _engine(ENGINES[leg]):
+                    summary = run_fleet(network, config, compiled=compiled)
+                seconds = (summary["wall_ms"] - summary["compile_ms"]) / 1000.0
+                best[leg] = min(best[leg], seconds)
+                outcomes.add((summary["reactions"], summary["digest"]))
+        for leg in legs:
+            rounds[leg].append(best[leg])
+    assert len(outcomes) == 1, f"the engines' fleets differ: {outcomes}"
+    ((reactions, _),) = outcomes
+    result = {}
+    for leg in legs:
+        wall = statistics.median(rounds[leg])
+        rps = reactions / wall
+        result[leg] = {
+            "reactions": reactions,
+            "wall_s": round(wall, 6),
+            "reactions_per_sec": round(rps, 1),
+            "speedup": round(rps / scalar_rps, 2) if scalar_rps else 0.0,
+        }
+    if "native" in result:
+        result["native"]["engine_speedup"] = round(
+            result["int"]["wall_s"] / result["native"]["wall_s"], 2
+        )
+    return result
 
 
 def run_report(smoke=False):
@@ -119,10 +172,10 @@ def run_report(smoke=False):
     scalar = _scalar_leg(
         network, compiled, spec, config, sizes["scalar_lanes"]
     )
-    # The v1 document keys fleet legs by plane representation.
-    backends = {
-        "int": _fleet_leg(network, compiled, config, scalar["reactions_per_sec"])
-    }
+    # The v1 document keys fleet legs by engine.
+    backends = _fleet_legs(
+        network, compiled, config, scalar["reactions_per_sec"]
+    )
 
     jobs4_config = FleetConfig(
         instances=config.instances,
@@ -169,8 +222,10 @@ def run_report(smoke=False):
             "jobs4_digest": jobs4["digest"],
             "match": jobs1["digest"] == jobs4["digest"],
         },
-        # Every leg above is timed once.
-        "provenance": bench_provenance(repetitions=1),
+        # The scalar leg is timed once; each fleet leg as BEST_OF x ROUNDS.
+        "provenance": bench_provenance(
+            repetitions=1, best_of=BEST_OF, rounds=ROUNDS
+        ),
     }
     return doc
 
@@ -194,6 +249,8 @@ def test_fleet_bench_document_is_valid_and_fast():
     # Smoke fleets are small; the tracked speedup gate lives in the
     # bench-history reference that CI checks against the smoke document.
     assert doc["backends"]["int"]["speedup"] > 1.0, doc["backends"]["int"]
+    native_leg = doc["backends"]["native"]
+    assert native_leg["engine_speedup"] > 1.0, native_leg
     write_report("fleet_sim", _report_lines(doc))
 
 
@@ -228,6 +285,15 @@ def main(argv=None):
         failures.append(
             f"int speedup {doc['backends']['int']['speedup']}x "
             f"below {gate}x gate"
+        )
+    native_leg = doc["backends"].get("native")
+    engine_gate = MIN_ENGINE_SPEEDUP if not smoke else 1.0
+    if native_leg is None:
+        failures.append("the native fleet engine did not build or load")
+    elif native_leg["engine_speedup"] < engine_gate:
+        failures.append(
+            f"native engine speedup {native_leg['engine_speedup']}x "
+            f"below {engine_gate}x gate"
         )
     if failures:
         print("FAIL: " + "; ".join(failures))

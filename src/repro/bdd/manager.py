@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import sys
 import weakref
 from typing import (
@@ -97,6 +98,18 @@ _DEFAULT_CACHE_LIMIT = 1 << 20
 # Initial bucket count of each per-variable subtable (always a power of two;
 # doubled whenever a subtable's load factor passes 2).
 _INITIAL_BUCKETS = 8
+
+
+def _drop_handle(
+    handles: Dict[int, Any], deaths: List[int], key: int, edge: int, _ref: Any
+) -> None:
+    """Weakref callback of a dead handle: queue its root's decref.
+
+    It holds the manager's two containers, not the manager, so a manager
+    is not part of a reference cycle through its handles.
+    """
+    if handles.pop(key, None) is not None:
+        deaths.append(edge)
 
 
 class Function:
@@ -434,8 +447,6 @@ class BddManager:
         # Live external handles, keyed by object identity (NOT equality —
         # two equal Functions must both keep their nodes alive).
         self._handles: Dict[int, "weakref.ref[Function]"] = {}
-        self._false = Function(self, FALSE_ID)
-        self._true = Function(self, TRUE_ID)
 
         # Profiling counters (read through counters() by the build trace,
         # repro.obs.SiftProfile and the engine bench).
@@ -667,12 +678,11 @@ class BddManager:
         edge = handle.id
         self._incref(edge)
         self._handles[key] = weakref.ref(
-            handle, lambda _ref, key=key, edge=edge: self._drop_handle(key, edge)
+            handle,
+            functools.partial(
+                _drop_handle, self._handles, self._handle_deaths, key, edge
+            ),
         )
-
-    def _drop_handle(self, key: int, edge: int) -> None:
-        if self._handles.pop(key, None) is not None:
-            self._handle_deaths.append(edge)
 
     def _drain_handle_deaths(self) -> None:
         """Apply queued handle-death decrefs (at a safe point)."""
@@ -712,16 +722,18 @@ class BddManager:
     def _wrap(self, edge: int) -> Function:
         return Function(self, edge)
 
+    # The constants are fresh handles: a handle kept on the manager would
+    # hold the manager in a reference cycle.
     @property
     def false(self) -> Function:
-        return self._false
+        return Function(self, FALSE_ID)
 
     @property
     def true(self) -> Function:
-        return self._true
+        return Function(self, TRUE_ID)
 
     def constant(self, value: bool) -> Function:
-        return self._true if value else self._false
+        return Function(self, TRUE_ID if value else FALSE_ID)
 
     def var(self, var: int) -> Function:
         """The projection function of ``var``."""

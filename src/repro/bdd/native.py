@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Set, Tuple
@@ -40,8 +41,9 @@ def build_and_load(source: Path) -> Any:
     The object goes to the ``__pycache__`` beside ``source``, under a name
     keyed by the source's and the platform's SHA-256.  It is compiled to a
     temporary file there and renamed into place, so processes that race
-    for it each load a whole object.  Raises on any failure; nothing
-    partial is left behind.
+    for it each load a whole object; the objects of the same stem's other
+    keys are then removed (a process that loaded one keeps its mapping).
+    Raises on any failure; nothing partial is left behind.
     """
     import ctypes
     import subprocess
@@ -69,7 +71,20 @@ def build_and_load(source: Path) -> Any:
         finally:
             if os.path.exists(partial):
                 os.unlink(partial)
+        _remove_stale(target, source.stem)
     return ctypes.PyDLL(str(target))
+
+
+def _remove_stale(target: Path, stem: str) -> None:
+    """Remove the ``<stem>.<key>.so`` objects of keys other than ``target``'s.
+
+    Only whole objects match; a build's temporary file does not.
+    """
+    stale = re.compile(re.escape(stem) + r"\.[0-9a-f]{16}\.so")
+    for path in target.parent.iterdir():
+        if path != target and stale.fullmatch(path.name):
+            with contextlib.suppress(OSError):
+                path.unlink()
 
 
 def _declare(lib: Any) -> Any:

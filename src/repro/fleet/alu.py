@@ -1,7 +1,7 @@
 """Compile-time bit-sliced arithmetic over lane planes.
 
 This module turns the integer expression language of
-:mod:`repro.cfsm.expr` into *straight-line Python source* operating on
+:mod:`repro.cfsm.expr` into *straight-line plane assignments* over
 bit planes (one plane per bit position, one lane per fleet instance).
 Values are two's-complement **bit vectors of planes** (LSB first, last
 plane = sign): evaluating ``a + b`` for 4096 instances costs one ripple
@@ -68,25 +68,31 @@ class Circuit:
 
     Plane handles are plain strings: ``Z``, ``M``, an input name, or a
     temp (``t12``).  The three primitive emitters fold identities so
-    constant planes never reach the generated source.
+    constant planes never reach the generated source.  Each assignment is
+    kept as ``(name, a, op, b)``; :attr:`lines` renders them as source.
     """
 
     def __init__(self, prefix: str = "t"):
         self.prefix = prefix
-        self.lines: List[str] = []
-        self._cache: Dict[Tuple, str] = {}
+        self.ops: List[Tuple[str, str, str, str]] = []
+        self._cache: Dict[Tuple[str, str, str], str] = {}
         self._counter = 0
 
     @property
     def op_count(self) -> int:
-        return len(self.lines)
+        return len(self.ops)
 
-    def _emit(self, key: Tuple, text: str) -> str:
+    @property
+    def lines(self) -> List[str]:
+        return [f"{name} = {a} {op} {b}" for name, a, op, b in self.ops]
+
+    def _emit(self, op: str, a: str, b: str) -> str:
+        key = (op, a, b)
         name = self._cache.get(key)
         if name is None:
             name = f"{self.prefix}{self._counter}"
             self._counter += 1
-            self.lines.append(f"{name} = {text}")
+            self.ops.append((name, a, op, b))
             self._cache[key] = name
         return name
 
@@ -102,7 +108,7 @@ class Circuit:
         if a == b:
             return a
         a, b = sorted((a, b))
-        return self._emit(("&", a, b), f"{a} & {b}")
+        return self._emit("&", a, b)
 
     def or_(self, a: str, b: str) -> str:
         if a == ONES or b == ONES:
@@ -114,7 +120,7 @@ class Circuit:
         if a == b:
             return a
         a, b = sorted((a, b))
-        return self._emit(("|", a, b), f"{a} | {b}")
+        return self._emit("|", a, b)
 
     def xor_(self, a: str, b: str) -> str:
         if a == ZERO:
@@ -124,7 +130,7 @@ class Circuit:
         if a == b:
             return ZERO
         a, b = sorted((a, b))
-        return self._emit(("^", a, b), f"{a} ^ {b}")
+        return self._emit("^", a, b)
 
     def not_(self, a: str) -> str:
         return self.xor_(a, ONES)

@@ -22,14 +22,20 @@ stream object; any divergence is in the kernels, never in the stimulus.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cfsm.network import Network, NetworkSimulator
 from .kernel import CompiledNetwork, compile_network
 from .sim import FleetConfig, FleetShard
 from .stimulus import StimulusSpec, StimulusStream, default_spec, shard_seed
 
-__all__ = ["check_lanes", "random_campaign", "scalar_reference_run"]
+__all__ = [
+    "campaign_case",
+    "check_lanes",
+    "random_campaign",
+    "scalar_reference_run",
+]
 
 
 def _scalar_snapshot(
@@ -147,8 +153,7 @@ def check_lanes(
         shard = FleetShard(
             compiled, shard_size, spec, shard_seed(config.seed, shard_index)
         )
-        for _ in range(config.steps):
-            shard.step()
+        shard.run(config.steps)
         step_planes = materialize_stream(
             compiled, spec, config.seed, config.steps, shard_index, shard_size
         )
@@ -170,6 +175,26 @@ def check_lanes(
     return mismatches
 
 
+def campaign_case(seed: int, index: int) -> Tuple[Network, StimulusSpec]:
+    """Case ``index`` of a campaign: one random machine as a network, and a
+    full-range stimulus with a random presence probability per input."""
+    import random as _random
+
+    from ..difftest.generator import CaseConfig, generate_case
+
+    case = generate_case(seed, index, CaseConfig(snapshots=1))
+    network = Network(f"fuzz-case-{index}", [case.cfsm])
+    rng = _random.Random(seed * 1_000_003 + index)
+    full = default_spec(network).events
+    stim = {
+        event.name: replace(
+            full[event.name], probability=rng.choice([0.1, 0.3, 0.5, 0.8])
+        )
+        for event in network.environment_inputs()
+    }
+    return network, StimulusSpec(events=stim)
+
+
 def random_campaign(
     cases: int = 25,
     seed: int = 0,
@@ -177,29 +202,16 @@ def random_campaign(
     steps: int = 40,
 ) -> Dict[str, Any]:
     """Difftest-style campaign: random machines, random stimulus, all lanes."""
-    import random as _random
-
-    from ..difftest.generator import CaseConfig, generate_case
-
     checked = 0
     failures: List[Dict[str, Any]] = []
     for index in range(cases):
-        case = generate_case(seed, index, CaseConfig(snapshots=1))
-        network = Network(f"fuzz-case-{index}", [case.cfsm])
-        rng = _random.Random(seed * 1_000_003 + index)
-        stim = {}
-        for event in network.environment_inputs():
-            probability = rng.choice([0.1, 0.3, 0.5, 0.8])
-            spec_cls = default_spec(network).events[event.name]
-            stim[event.name] = type(spec_cls)(
-                probability=probability, lo=spec_cls.lo, hi=spec_cls.hi
-            )
+        network, spec = campaign_case(seed, index)
         config = FleetConfig(
             instances=lanes,
             steps=steps,
             seed=seed + index,
             lanes_per_shard=lanes,
-            spec=StimulusSpec(events=stim),
+            spec=spec,
         )
         mismatches = check_lanes(network, config, range(lanes))
         checked += lanes

@@ -1,7 +1,7 @@
 """Compile synthesized reactive functions into bit-sliced reaction kernels.
 
-One :class:`CompiledMachine` holds straight-line Python source evaluating a
-whole CFSM reaction for every fleet lane at once:
+One :class:`CompiledMachine` holds a straight-line tape of plane ops
+evaluating a whole CFSM reaction for every fleet lane at once:
 
 * guard/action selection comes from the **condition BDDs** of
   :func:`repro.synthesis.reactive.synthesize_reactive` — each BDD node
@@ -22,14 +22,16 @@ lanes where its machine was picked.  Lanes outside ``RUN`` pass state,
 flags and buffers through unchanged, which is what lets one fleet step
 run every machine's kernel over disjoint lane sets.
 
-Compiled objects are picklable (plain source + layout metadata, no BDD
-manager), so process-pool shards rebuild their callables with one
-``exec`` each.
+Compiled objects are picklable (the tape plus layout metadata, no BDD
+manager).  The native shard run (:mod:`repro.fleet.native`) interprets
+the tape; :meth:`repro.fleet.FleetShard.step` calls the Python source
+rendered from it, built with one ``exec`` per machine and process.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bdd.manager import FALSE_ID, TRUE_ID, Function
@@ -119,48 +121,59 @@ def compute_event_widths(network: Network) -> Dict[str, int]:
     )
 
 
-def _prune(lines: List[str], roots: List[str]) -> List[str]:
+def _prune(
+    ops: List[Tuple[str, str, str, str]], roots: List[str]
+) -> List[Tuple[str, str, str, str]]:
     """Drop straight-line assignments whose results never reach ``roots``."""
     needed = set(roots)
-    kept: List[str] = []
-    for line in reversed(lines):
-        name, _, rhs = line.partition(" = ")
-        if name in needed:
-            kept.append(line)
-            for token in re.split(r"[^\w]+", rhs):
-                if token:
-                    needed.add(token)
+    kept = []
+    for op in reversed(ops):
+        if op[0] in needed:
+            kept.append(op)
+            needed.add(op[1])
+            needed.add(op[3])
     kept.reverse()
     return kept
+
+
+#: Tape op codes, in the order ``_fleet_run.c`` decodes them.
+_OPERATORS = ("&", "|", "^")
+_OPCODE = {op: code for code, op in enumerate(_OPERATORS)}
 
 
 class CompiledMachine:
     """Bit-sliced reaction kernel of one CFSM (picklable, manager-free).
 
+    The kernel is stored as a *tape*, an ``array("i")``: four ints per
+    plane op, ``(opcode, temp, a, b)``, then one operand per result.  An
+    operand ``i >= 0`` is the result of op ``i``; ``~p`` is parameter
+    ``p`` of the call layout below.  ``temp`` is the op's name in
+    :attr:`source` (``t<temp>``), which is rendered from the tape.
+
     Call layout (all planes): ``fn(Z, M, RUN, *flags, *state, *buffers)``
     with flags in ``input_events`` order, state planes LSB-first per
-    ``state_specs`` entry, buffers LSB-first per ``valued_inputs`` entry.
-    Returns ``(fired, *state', *flags', *emissions)`` where emissions
-    carry, per ``output_events`` entry, an emit plane followed by the
-    event's value planes when it is valued.
+    ``state_specs`` entry, buffers LSB-first per ``valued_inputs`` entry
+    (``buffer_widths`` planes each).  Returns ``(fired, *state', *flags',
+    *emissions)`` where emissions carry, per ``output_events`` entry, an
+    emit plane followed by the event's value planes when it is valued.
     """
 
     def __init__(
         self,
         name: str,
-        source: str,
-        fn_name: str,
+        tape: "array[int]",
         input_events: List[str],
         valued_inputs: List[str],
+        buffer_widths: List[int],
         state_specs: List[Tuple[str, int, int, int]],  # name, |D|, bits, init
         output_events: List[Tuple[str, bool]],  # name, is_valued
         op_count: int,
     ):
         self.name = name
-        self.source = source
-        self.fn_name = fn_name
+        self.tape = tape
         self.input_events = input_events
         self.valued_inputs = valued_inputs
+        self.buffer_widths = buffer_widths
         self.state_specs = state_specs
         self.output_events = output_events
         self.op_count = op_count
@@ -170,6 +183,47 @@ class CompiledMachine:
         state = self.__dict__.copy()
         state["_fn"] = None
         return state
+
+    @property
+    def fn_name(self) -> str:
+        return f"kernel_{_ident(self.name)}"
+
+    def _params(self) -> List[str]:
+        """Parameter names of the kernel, in call order."""
+        names = ["Z", "M", "RUN"]
+        names += [f"f{i}" for i in range(len(self.input_events))]
+        names += [
+            f"s{vi}_{b}"
+            for vi, (_, _, bits, _) in enumerate(self.state_specs)
+            for b in range(bits)
+        ]
+        names += [
+            f"v{j}_{b}"
+            for j, width in enumerate(self.buffer_widths)
+            for b in range(width)
+        ]
+        return names
+
+    @property
+    def source(self) -> str:
+        """The kernel as straight-line Python, rendered from the tape."""
+        tape, ops, params = self.tape, self.op_count, self._params()
+
+        def operand(x: int) -> str:
+            return params[~x] if x < 0 else f"t{tape[4 * x + 1]}"
+
+        lines = [f"def {self.fn_name}({', '.join(params)}):"]
+        for i in range(0, 4 * ops, 4):
+            lines.append(
+                f"    t{tape[i + 1]} = {operand(tape[i + 2])} "
+                f"{_OPERATORS[tape[i]]} {operand(tape[i + 3])}"
+            )
+        lines.append(
+            "    return ({},)".format(
+                ", ".join(operand(x) for x in tape[4 * ops:])
+            )
+        )
+        return "\n".join(lines)
 
     @property
     def fn(self) -> Callable:
@@ -243,29 +297,10 @@ def _compile_machine(cfsm: Cfsm, event_widths: Dict[str, int]) -> CompiledMachin
 
     # Condition BDDs -> plane circuits, one select per node, shared
     # across conditions through the regular-edge memo.
-    manager = rf.manager
-    memo: Dict[int, str] = {}
-
-    def edge_plane(edge: int) -> str:
-        if edge == TRUE_ID:
-            return ONES
-        if edge == FALSE_ID:
-            return ZERO
-        regular = edge & ~1
-        plane = memo.get(regular)
-        if plane is None:
-            node: Function = manager.wrap(regular)
-            plane = circ.select(
-                var_plane[node.var],
-                edge_plane(node.high.id),
-                edge_plane(node.low.id),
-            )
-            memo[regular] = plane
-        return circ.not_(plane) if edge & 1 else plane
-
-    fired = circ.and_(edge_plane(rf.fire_condition.id), "RUN")
+    lower = _ConditionPlanes(rf.manager, circ, var_plane)
+    fired = circ.and_(lower.plane(rf.fire_condition.id), "RUN")
     selected: Dict[Tuple, str] = {
-        action.key(): circ.and_(edge_plane(cond.id), "RUN")
+        action.key(): circ.and_(lower.plane(cond.id), "RUN")
         for action, cond in (
             (a, rf.conditions[a.key()]) for a in enc.actions
         )
@@ -325,20 +360,51 @@ def _compile_machine(cfsm: Cfsm, event_widths: Dict[str, int]) -> CompiledMachin
         + [p for name, _, bits, _ in state_specs for p in state_planes[name]]
         + [p for name in valued_inputs for p in buffer_planes[name]]
     )
-    body = _prune(circ.lines, [r for r in results if r not in (ZERO, ONES)])
-    fn_name = f"kernel_{_ident(cfsm.name)}"
-    source = "\n".join(
-        [f"def {fn_name}({', '.join(params)}):"]
-        + [f"    {line}" for line in body]
-        + ["    return ({},)".format(", ".join(results))]
-    )
+    body = _prune(circ.ops, [r for r in results if r not in (ZERO, ONES)])
+    operand = {name: ~p for p, name in enumerate(params)}
+    tape = array("i")
+    for i, (name, a, op, b) in enumerate(body):
+        tape.extend((_OPCODE[op], int(name[1:]), operand[a], operand[b]))
+        operand[name] = i
+    tape.extend(operand[r] for r in results)
     return CompiledMachine(
         name=cfsm.name,
-        source=source,
-        fn_name=fn_name,
+        tape=tape,
         input_events=input_events,
         valued_inputs=valued_inputs,
+        buffer_widths=[event_widths[name] for name in valued_inputs],
         state_specs=state_specs,
         output_events=output_events,
         op_count=len(body),
     )
+
+
+class _ConditionPlanes:
+    """Lowers condition BDD edges to planes: one select per BDD node.
+
+    A class rather than a recursive closure, so no reference cycle keeps
+    the reactive function's manager alive after the compile.
+    """
+
+    def __init__(self, manager, circ: Circuit, var_plane: Dict[int, str]):
+        self.manager = manager
+        self.circ = circ
+        self.var_plane = var_plane
+        self.memo: Dict[int, str] = {}
+
+    def plane(self, edge: int) -> str:
+        if edge == TRUE_ID:
+            return ONES
+        if edge == FALSE_ID:
+            return ZERO
+        regular = edge & ~1
+        plane = self.memo.get(regular)
+        if plane is None:
+            node: Function = self.manager.wrap(regular)
+            plane = self.circ.select(
+                self.var_plane[node.var],
+                self.plane(node.high.id),
+                self.plane(node.low.id),
+            )
+            self.memo[regular] = plane
+        return self.circ.not_(plane) if edge & 1 else plane

@@ -17,6 +17,11 @@ stimulus injection) simultaneously for every lane:
    planes are disjoint across machines, so kernels can run sequentially
    against the live planes) and deliver its emissions.
 
+:meth:`FleetShard.run` advances a shard by many steps in one call of the
+native shard run (:mod:`repro.fleet.native`), which leaves exactly what
+as many :meth:`FleetShard.step` calls leave; ``step`` is its oracle and
+the engine wherever the C source does not build.
+
 Lanes are grouped into fixed ``lanes_per_shard`` blocks whose stimulus
 seeds depend only on ``(seed, shard index)``, so results are independent
 of ``--jobs``; shards run as :class:`FleetShardTask` on the pipeline
@@ -36,6 +41,7 @@ from ..cfsm.network import Network
 from ..obs.context import TraceContext
 from ..pipeline.parallel import make_executor, run_traced, task_span
 from ..pipeline.trace import BuildTrace, TraceEvent
+from . import native
 from .kernel import CompiledNetwork, compile_network
 from .lanes import LaneCounter, select
 from .stimulus import StimulusSpec, StimulusStream, default_spec, shard_seed
@@ -120,6 +126,22 @@ class FleetShard:
         }
 
     # -- one synchronized scalar step per lane -------------------------------
+
+    def run(self, steps: int) -> str:
+        """Advance ``steps`` steps; returns the engine that ran them.
+
+        ``"native"``: one call of the C shard run (:mod:`.native`);
+        ``"python"``, where it does not build or load: ``steps`` calls of
+        :meth:`step`, its oracle.  Both leave the same planes, counters
+        and stimulus state, so runs may alternate engines.
+        """
+        library = native.fleet_library()
+        if library is None:
+            for _ in range(steps):
+                self.step()
+            return "python"
+        native.run_shard(library, self, steps)
+        return "native"
 
     def step(self) -> None:
         mask = self.mask
@@ -296,7 +318,7 @@ class FleetShardOutcome:
     lost_events: int
     env_emitted: Dict[str, int]
     digest: str
-    wall_ms: int
+    wall_ms: float
     events: List[TraceEvent] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
 
@@ -305,8 +327,7 @@ class FleetShardOutcome:
 class FleetShardTask:
     """One schedulable shard; runs inside executor workers.
 
-    The compiled network ships as plain source + metadata; the worker
-    rebuilds the kernel callables with one ``exec`` per machine.
+    The compiled network ships as kernel tapes plus layout metadata.
     """
 
     shard_index: int
@@ -317,7 +338,7 @@ class FleetShardTask:
     context: Optional[TraceContext] = None
 
     def run(self, keep_result: bool) -> FleetShardOutcome:
-        started = time.monotonic()
+        started = time.perf_counter()
         trace = BuildTrace(context=self.context)
         with task_span(
             trace, f"shard-{self.shard_index:03d}", "fleet.shard"
@@ -328,14 +349,14 @@ class FleetShardTask:
                 self.spec,
                 shard_seed(self.config.seed, self.shard_index),
             )
-            for _ in range(self.config.steps):
-                shard.step()
+            engine = shard.run(self.config.steps)
             reactions = shard.reactions.total()
             lost = shard.lost.total()
             span.metrics.update(
                 {
                     "lanes": self.lanes,
                     "steps": self.config.steps,
+                    "fleet_engine": engine,
                     "fleet_reactions": reactions,
                     "fleet_lost_events": lost,
                 }
@@ -352,7 +373,7 @@ class FleetShardTask:
                 for name, counter in shard.env_emitted.items()
             },
             digest=shard.digest(),
-            wall_ms=int((time.monotonic() - started) * 1000),
+            wall_ms=(time.perf_counter() - started) * 1000.0,
             events=trace.events,
             metrics=trace.metrics,
         )
@@ -371,16 +392,17 @@ def run_fleet(
     ``trace``) per-shard spans — the difftest campaign pattern applied to
     simulation.
     """
-    started = time.monotonic()
+    started = time.perf_counter()
     sizes = config.shard_sizes()
     spec = config.spec if config.spec is not None else default_spec(network)
     spec.validate(network)
+    compile_ms = 0.0
     if compiled is None:
-        compile_started = time.monotonic()
+        compile_started = time.perf_counter()
         compiled = compile_network(network)
-        compile_ms = int((time.monotonic() - compile_started) * 1000)
-    else:
-        compile_ms = 0
+        compile_ms = round(
+            (time.perf_counter() - compile_started) * 1000.0, 3
+        )
     if trace is not None and trace.trace_id is None:
         trace.begin(f"fleet-{network.name}")
     tasks = [
@@ -408,8 +430,9 @@ def run_fleet(
     digest = hashlib.sha256(
         "".join(o.digest for o in outcomes).encode("ascii")
     ).hexdigest()
-    wall_ms = int((time.monotonic() - started) * 1000)
-    sim_seconds = max(1e-9, (wall_ms - compile_ms) / 1000.0)
+    wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
+    # The rate is over the simulated seconds the summary reports.
+    sim_seconds = max(wall_ms - compile_ms, 0.001) / 1000.0
     return {
         "network": network.name,
         "instances": config.instances,

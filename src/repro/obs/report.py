@@ -507,7 +507,7 @@ def render_sim_bench(doc: Dict[str, Any], top: int = 10) -> str:
     lines.append("")
     lines.append(
         f"  {'engine':12s} {'reactions':>12s} {'wall s':>9s} "
-        f"{'reactions/s':>13s} {'speedup':>8s}"
+        f"{'reactions/s':>13s} {'speedup':>8s} {'over int':>9s}"
     )
     lines.append(
         f"  {'scalar':12s} {scalar.get('reactions', 0):12,d} "
@@ -515,11 +515,13 @@ def render_sim_bench(doc: Dict[str, Any], top: int = 10) -> str:
         f"{scalar.get('reactions_per_sec', 0.0):13,.0f} {'1.0x':>8s}"
     )
     for name, leg in sorted(doc.get("backends", {}).items()):
+        engine = leg.get("engine_speedup")
         lines.append(
             f"  {'fleet/' + name:12s} {leg.get('reactions', 0):12,d} "
             f"{leg.get('wall_s', 0.0):9.3f} "
             f"{leg.get('reactions_per_sec', 0.0):13,.0f} "
             f"{leg.get('speedup', 0.0):7.1f}x"
+            + (f" {engine:8.2f}x" if engine is not None else "")
         )
     crosscheck = doc.get("crosscheck", {})
     lines.append("")

@@ -448,10 +448,13 @@ def validate_sim_bench(doc: Dict[str, Any]) -> List[str]:
     for name, leg in backends.items():
         where = f"backends[{name!r}]"
         _validate_sim_leg(where, leg, errors)
-        if isinstance(leg, dict) and not isinstance(
-            leg.get("speedup"), (int, float)
-        ):
+        if not isinstance(leg, dict):
+            continue
+        if not isinstance(leg.get("speedup"), (int, float)):
             errors.append(f"{where}: speedup must be a number")
+        engine_speedup = leg.get("engine_speedup", 1.0)
+        if not isinstance(engine_speedup, (int, float)) or engine_speedup <= 0:
+            errors.append(f"{where}: engine_speedup must be a positive number")
     crosscheck = doc.get("crosscheck")
     if not isinstance(crosscheck, dict):
         errors.append("'crosscheck' missing or not an object")
@@ -470,7 +473,9 @@ def validate_sim_bench(doc: Dict[str, Any]) -> List[str]:
                 errors.append(f"determinism.{key} missing or not a string")
         if not isinstance(determinism.get("match"), bool):
             errors.append("determinism.match missing or not a boolean")
-    errors.extend(_provenance_errors(doc, ("repetitions",)))
+    errors.extend(
+        _provenance_errors(doc, ("repetitions",), ("best_of", "rounds"))
+    )
     return errors
 
 

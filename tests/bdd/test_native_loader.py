@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import dashboard_network
-from repro.bdd import native
+from repro.bdd import BddManager, native
 from repro.flow import build_system
 from repro.pipeline import BuildTrace
 
@@ -93,6 +93,29 @@ def test_racing_processes_all_load_and_one_object_is_left(tmp_path):
     assert [out for out, _ in outcomes] == ["loaded\n"] * 3
     left = [path.name for path in (tmp_path / "__pycache__").iterdir()]
     assert len(left) == 1 and left[0].endswith(".so"), left
+
+
+@needs_native
+def test_a_new_build_removes_the_objects_of_older_sources(tmp_path):
+    source = tmp_path / native.SIFT_SOURCE.name
+    text = native.SIFT_SOURCE.read_bytes()
+    source.write_bytes(text)
+    old = native._declare(native.build_and_load(source))
+    cache = tmp_path / "__pycache__"
+    (built,) = cache.iterdir()
+    # A build in progress elsewhere: its temporary file is not an object.
+    partial = cache / f".{built.name}.racer.tmp"
+    partial.write_bytes(b"")
+    source.write_bytes(text + b"\n/* a second digest */\n")
+    native._declare(native.build_and_load(source))
+    left = sorted(path.name for path in cache.iterdir())
+    assert len(left) == 2 and partial.name in left, left
+    assert built.name not in left
+    # The object loaded before its file was removed keeps working.
+    manager = BddManager()
+    a, b, c = (manager.var(manager.new_var(name)) for name in "abc")
+    f = (a & b) | (~a & c)
+    assert native.NativeStore(old, f).size() == f.size()
 
 
 def test_importing_the_flow_loads_no_ctypes():

@@ -128,6 +128,19 @@ class TestSummary:
         assert summary["reactions_per_sec"] > 0
         assert len(summary["digest"]) == 64
 
+    def test_rate_is_reactions_over_the_reported_seconds(self, dashboard):
+        """Timings keep fractional milliseconds: a one-lane, one-step run
+        takes well under one, and its rate is still its reactions over
+        the simulated time its summary reports."""
+        summary = run_fleet(dashboard, FleetConfig(instances=1, steps=1))
+        assert summary["reactions"] == 1
+        assert summary["compile_ms"] > 0
+        seconds = (summary["wall_ms"] - summary["compile_ms"]) / 1000.0
+        assert seconds > 0
+        assert summary["reactions_per_sec"] == round(
+            summary["reactions"] / seconds, 1
+        )
+
     def test_traced_run_merges_shard_spans(self, dashboard, compiled):
         from repro.obs import assert_valid_trace
         from repro.pipeline import BuildTrace
@@ -143,6 +156,9 @@ class TestSummary:
             e for e in doc["events"] if e["name"] == "fleet.shard"
         ]
         assert len(shard_events) == 3
+        assert {e["metrics"]["fleet_engine"] for e in shard_events} <= {
+            "native", "python"
+        }
         assert doc["metrics"]["fleet_reactions"] > 0
         # Counters from every shard lane are summed into the run totals.
         assert doc["metrics"]["fleet_reactions"] == summary["reactions"]

@@ -413,6 +413,31 @@ class TestSimBenchValidation:
         doc["provenance"] = []
         assert "'provenance' is not an object" in validate_sim_bench(doc)
 
+    def test_native_leg_carries_its_engine_speedup(self):
+        from repro.obs import render_report, validate_sim_bench
+
+        doc = valid_sim_doc()
+        doc["backends"]["native"] = {
+            "reactions": 819198, "wall_s": 0.02,
+            "reactions_per_sec": 40000000.0, "speedup": 1700.0,
+            "engine_speedup": 4.5,
+        }
+        doc["provenance"] = {
+            "nproc": 2, "python": "3.12.1", "git_revision": None,
+            "repetitions": 1, "best_of": 5, "rounds": 5,
+        }
+        assert validate_sim_bench(doc) == []
+        (row,) = [
+            line for line in render_report(doc).splitlines()
+            if "fleet/native" in line
+        ]
+        assert row.endswith("4.50x")
+        doc["backends"]["native"]["engine_speedup"] = "fast"
+        doc["provenance"]["rounds"] = 0
+        errors = validate_sim_bench(doc)
+        assert any("engine_speedup" in e for e in errors)
+        assert any("provenance.rounds" in e for e in errors)
+
     def test_wrong_format_and_missing_sections(self):
         from repro.obs import validate_sim_bench
 
