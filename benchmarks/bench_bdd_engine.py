@@ -388,9 +388,10 @@ def _reactive_scenario():
     """``synthesize_reactive`` over the 17 example modules, fresh managers.
 
     Builds each module's encoding, care set, conditions and χ at the
-    naive order, with no sifting.  wall_s is the best of BEST_OF runs over
-    all 17; χ size, ITE cache misses and peak nodes are summed over the
-    modules and equal in every run.
+    naive order, with no sifting; χ is built at its first read, so the
+    timed span reads it.  wall_s is the best of BEST_OF runs over all 17;
+    χ size, ITE cache misses and peak nodes are summed over the modules
+    and equal in every run.
     """
     from repro.frontend import compile_source
     from repro.synthesis import synthesize_reactive
@@ -406,8 +407,9 @@ def _reactive_scenario():
         for machine in machines:
             t0 = time.perf_counter()
             rf = synthesize_reactive(machine)
+            chi = rf.chi
             wall += time.perf_counter() - t0
-            chi_size += rf.chi.size()
+            chi_size += chi.size()
             ite_misses += rf.manager.ite_misses
             peak_nodes += rf.manager.peak_nodes
         walls.append(wall)

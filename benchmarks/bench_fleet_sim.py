@@ -21,7 +21,11 @@ networks per plane pass.  This benchmark measures that claim directly:
   simulator (states, flags, value buffers, lost-event and reaction
   counts);
 * **determinism** — ``--jobs 1`` and ``--jobs 4`` fleet digests must
-  match exactly.
+  match exactly;
+* **kernel compile** — the wall of ``compile_network`` on the network
+  (synthesis of the condition BDDs plus the bit-sliced lowering), the
+  median over ``ROUNDS`` of the best of ``BEST_OF`` compiles.  Reported,
+  not gated.
 
 Two entry points:
 
@@ -154,6 +158,19 @@ def _fleet_legs(network, compiled, config, scalar_rps):
     return result
 
 
+def _kernel_compile(network):
+    """``compile_network`` wall: the median over ROUNDS of best-of-BEST_OF."""
+    rounds = []
+    for _ in range(ROUNDS):
+        best = float("inf")
+        for _ in range(BEST_OF):
+            start = time.perf_counter()
+            compile_network(network)
+            best = min(best, time.perf_counter() - start)
+        rounds.append(best)
+    return {"wall_s": round(statistics.median(rounds), 6)}
+
+
 def run_report(smoke=False):
     from repro.apps import dashboard_network
 
@@ -222,6 +239,7 @@ def run_report(smoke=False):
             "jobs4_digest": jobs4["digest"],
             "match": jobs1["digest"] == jobs4["digest"],
         },
+        "kernel_compile": _kernel_compile(network),
         # The scalar leg is timed once; each fleet leg as BEST_OF x ROUNDS.
         "provenance": bench_provenance(
             repetitions=1, best_of=BEST_OF, rounds=ROUNDS

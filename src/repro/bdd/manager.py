@@ -771,6 +771,85 @@ class BddManager:
             edge = self._mk(var, FALSE_ID, edge)
         return edge
 
+    def assignments(self, variables: Sequence[int], codes: Iterable[int]) -> Function:
+        """The set of full assignments over ``variables`` that ``codes`` spell.
+
+        Bit ``n - 1 - i`` of a code is the value of ``variables[i]`` (the
+        first variable is the most significant bit), so a multi-valued
+        variable's value is its own code.  Built bottom-up by ``_mk``
+        alone: no ITE, no cache traffic, one node per distinct subtree.
+        """
+        return self._wrap(self._assignments_id(variables, codes, TRUE_ID))
+
+    def conjoin_assignments(
+        self, parts: Sequence[Tuple[Sequence[int], Iterable[int]]]
+    ) -> Function:
+        """AND of :meth:`assignments` sets over disjoint variable groups.
+
+        ``parts`` holds ``(variables, codes)`` pairs.  Where the groups'
+        levels do not interleave, each set is built with the AND of the
+        sets below it in place of TRUE, so the whole conjunction takes
+        ``_mk`` calls only; where they do (an order that splits a group),
+        the sets are built apart and AND-ed by ITE.
+        """
+        level_of = self._level_of_var
+        spans = []
+        for part in parts:
+            levels = [level_of[var] for var in part[0]]
+            spans.append((min(levels), max(levels), part))
+        spans.sort(key=lambda span: span[0])
+        if any(spans[i][1] > spans[i + 1][0] for i in range(len(spans) - 1)):
+            return self.conjoin(self.assignments(*part) for part in parts)
+        edge = TRUE_ID
+        for _, _, (variables, codes) in reversed(spans):
+            edge = self._assignments_id(variables, codes, edge)
+        return self._wrap(edge)
+
+    def _assignments_id(
+        self, variables: Sequence[int], codes: Iterable[int], inside: int
+    ) -> int:
+        """Edge that is ``inside`` on the assignments ``codes`` spell over
+        ``variables`` and FALSE on every other one.
+
+        The variables are taken in level order (each code's bits permuted
+        to match) and the edge is built one level at a time from the
+        bottom: a node per distinct code prefix, its missing branches
+        FALSE.  A full set is cut short to ``inside``, and ``_mk``
+        collapses every full subtree below it.  ``inside`` must lie below
+        every variable.
+        """
+        n = len(variables)
+        level_of = self._level_of_var
+        levels = [level_of[var] for var in variables]
+        if levels == sorted(levels):
+            layer = dict.fromkeys(codes, inside)
+        else:
+            ranks = sorted(range(n), key=levels.__getitem__)
+            shifts = [(n - 1 - i, n - 1 - j) for j, i in enumerate(ranks)]
+            layer = dict.fromkeys(
+                (
+                    sum(((code >> src) & 1) << dst for src, dst in shifts)
+                    for code in codes
+                ),
+                inside,
+            )
+            variables = [variables[i] for i in ranks]
+        if not layer:
+            return FALSE_ID
+        if len(layer) == 1 << n:
+            return inside
+        mk = self._mk
+        for var in reversed(variables):
+            get = layer.get
+            above: Dict[int, int] = {}
+            for code in layer:
+                parent = code >> 1
+                if parent not in above:
+                    base = parent << 1
+                    above[parent] = mk(var, get(base, FALSE_ID), get(base | 1, FALSE_ID))
+            layer = above
+        return layer[0]
+
     # ------------------------------------------------------------------
     # Node construction
     # ------------------------------------------------------------------

@@ -5,11 +5,16 @@ necessarily binary (Sec. III-B1 speaks of "Boolean (or symbolic multivalued)"
 variables).  We encode a domain of size ``n`` onto ``ceil(log2 n)`` binary
 BDD variables, most-significant bit first, and keep the bits together as a
 sifting group so reordering treats the multi-valued variable atomically.
+
+A value is its own code over the bits, so a set of values is built from
+its codes bottom-up, one ``_mk`` per distinct code prefix, never as an
+OR of one cube per value (the BDD set encodings of Bulancea, Nilsson and
+Ozay build value sets from their encodings the same way).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from .manager import BddManager, Function
 
@@ -64,18 +69,22 @@ class MultiValuedVar:
         """Characteristic function of ``self == value``."""
         return self.manager.cube(self.encode(value))
 
-    def in_set(self, values: Sequence[int]) -> Function:
+    def in_set(self, values: Iterable[int]) -> Function:
         """Characteristic function of ``self in values``.
 
-        Combined as a balanced disjunction over the value cubes — on the
-        int-edge kernel each cube is a handful of ``_mk`` calls and the
-        balanced tree keeps intermediate BDDs small for wide sets.
+        A value is its own code over :attr:`bits`, so the set is built
+        bottom-up from the codes by :meth:`BddManager.assignments`: one
+        ``_mk`` per distinct code prefix, no ITE.
         """
-        return self.manager.disjoin(self.equals(value) for value in values)
+        values = list(values)
+        for value in values:
+            if not 0 <= value < self.num_values:
+                raise ValueError(f"{value} outside domain of {self.name}")
+        return self.manager.assignments(self.bits, values)
 
     def valid(self) -> Function:
         """Characteristic function of the encodable, in-domain codes."""
-        return self.in_set(range(self.num_values))
+        return self.manager.assignments(self.bits, range(self.num_values))
 
     def value_of(self, assignment: Dict[int, bool]) -> Optional[int]:
         """Like :meth:`decode` but ``None`` when the code is out of domain."""

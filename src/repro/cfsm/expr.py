@@ -19,7 +19,7 @@ logical functions" per target (Sec. III-C1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Mapping, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "Expr",
@@ -84,7 +84,40 @@ UNARY_OPS: Dict[str, Tuple[str, Callable[[int], int]]] = {
 _FUNCTION_STYLE = {"min", "max"}
 
 
-class Expr:
+class CachedKey:
+    """An immutable node whose structural identity, :meth:`key`, is
+    computed once, by :meth:`_make_key`.
+
+    Expressions, tests and actions are keyed over and over (hashing,
+    equality, lookups of BDD variables and kernel planes).  The cached key
+    and hash are dropped when a node is pickled, so a pool task is no
+    larger for them and no hash crosses a process.
+    """
+
+    _key: Optional[Tuple] = None
+    _hash: Optional[int] = None
+
+    def key(self) -> Tuple:
+        if self._key is None:
+            self._key = self._make_key()
+        return self._key
+
+    def _make_key(self) -> Tuple:
+        raise NotImplementedError
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_key", None)
+        state.pop("_hash", None)
+        return state
+
+
+class Expr(CachedKey):
     """Base class of expression nodes."""
 
     def evaluate(self, env: Mapping[str, int]) -> int:
@@ -110,11 +143,8 @@ class Expr:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Expr) and self.key() == other.key()
 
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def key(self) -> Tuple:
-        raise NotImplementedError
+    # __eq__ defined here would otherwise reset the inherited __hash__.
+    __hash__ = CachedKey.__hash__
 
 
 class Const(Expr):
@@ -135,7 +165,7 @@ class Const(Expr):
     def operators(self) -> Iterator[str]:
         return iter(())
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("const", self.value)
 
 
@@ -157,7 +187,7 @@ class Var(Expr):
     def operators(self) -> Iterator[str]:
         return iter(())
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("var", self.name)
 
 
@@ -187,7 +217,7 @@ class EventValue(Expr):
     def operators(self) -> Iterator[str]:
         return iter(())
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("event_value", self.event_name)
 
 
@@ -230,7 +260,7 @@ class BinOp(Expr):
         yield from self.left.operators()
         yield from self.right.operators()
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("bin", self.op, self.left.key(), self.right.key())
 
 
@@ -261,7 +291,7 @@ class UnOp(Expr):
         yield UNARY_OPS[self.op][0]
         yield from self.operand.operators()
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("un", self.op, self.operand.key())
 
 
@@ -299,5 +329,5 @@ class Cond(Expr):
         yield from self.then.operators()
         yield from self.otherwise.operators()
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("cond", self.cond.key(), self.then.key(), self.otherwise.key())

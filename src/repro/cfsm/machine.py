@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import EventDef
-from .expr import Expr
+from .expr import CachedKey, Expr
 
 __all__ = [
     "StateVar",
@@ -59,7 +59,7 @@ class StateVar:
 # ---------------------------------------------------------------------------
 
 
-class Test:
+class Test(CachedKey):
     """A Boolean observation of the CFSM inputs/state.
 
     Each distinct test becomes one binary input variable of the reactive
@@ -67,9 +67,6 @@ class Test:
     """
 
     __test__ = False  # not a pytest test class despite the name
-
-    def key(self) -> Tuple:
-        raise NotImplementedError
 
     def evaluate(self, env: Dict[str, int], present: Set[str]) -> bool:
         raise NotImplementedError
@@ -83,8 +80,7 @@ class Test:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Test) and other.key() == self.key()
 
-    def __hash__(self) -> int:
-        return hash(self.key())
+    __hash__ = CachedKey.__hash__
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label()}>"
@@ -100,7 +96,7 @@ class PresenceTest(Test):
     def __init__(self, event: EventDef):
         self.event = event
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("presence", self.event.name)
 
     def evaluate(self, env: Dict[str, int], present: Set[str]) -> bool:
@@ -119,7 +115,7 @@ class ExprTest(Test):
     def __init__(self, expr: Expr):
         self.expr = expr
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("expr", self.expr.key())
 
     def evaluate(self, env: Dict[str, int], present: Set[str]) -> bool:
@@ -137,11 +133,8 @@ class ExprTest(Test):
 # ---------------------------------------------------------------------------
 
 
-class Action:
+class Action(CachedKey):
     """An effect selected by the reactive function (one output variable)."""
-
-    def key(self) -> Tuple:
-        raise NotImplementedError
 
     def label(self) -> str:
         raise NotImplementedError
@@ -149,8 +142,7 @@ class Action:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Action) and other.key() == self.key()
 
-    def __hash__(self) -> int:
-        return hash(self.key())
+    __hash__ = CachedKey.__hash__
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label()}>"
@@ -167,7 +159,7 @@ class Emit(Action):
         self.event = event
         self.value = value
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("emit", self.event.name, None if self.value is None else self.value.key())
 
     def label(self) -> str:
@@ -183,7 +175,7 @@ class AssignState(Action):
         self.var = var
         self.value = value
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("assign", self.var.name, self.value.key())
 
     def label(self) -> str:

@@ -580,10 +580,14 @@ def _cmd_fleet(args) -> int:
         f"{summary['steps']:,} steps on {summary['shards']} shard(s) "
         f"(jobs={summary['jobs']})"
     )
+    # The summary's compile_ms is the native engine's first build or load
+    # here, as the kernels were compiled above.
+    setup = f"{compile_ms:.1f} ms kernel compile"
+    if summary["compile_ms"]:
+        setup += f" and {summary['compile_ms']:.1f} ms native engine load"
     print(
         f"  {summary['reactions']:,} reactions "
-        f"({summary['reactions_per_sec']:,.0f}/s after "
-        f"{compile_ms:.1f} ms kernel compile, "
+        f"({summary['reactions_per_sec']:,.0f}/s after {setup}, "
         f"{summary['kernel_ops']:,} plane ops/step), "
         f"{summary['lost_events']:,} lost events"
     )

@@ -488,30 +488,52 @@ class Alu:
         raise FleetCompileError(f"unsupported unary operator {op!r}")
 
 
-def build_expr(alu: Alu, expr: Expr, env: Mapping[str, BitVec]) -> BitVec:
-    """Lower a CFSM expression; ``env`` maps ``name`` / ``?event`` to vectors."""
+def build_expr(
+    alu: Alu,
+    expr: Expr,
+    env: Mapping[str, BitVec],
+    memo: Optional[Dict[Expr, BitVec]] = None,
+) -> BitVec:
+    """Lower a CFSM expression; ``env`` maps ``name`` / ``?event`` to vectors.
+
+    ``memo`` (one dict per circuit and environment; a fresh one when
+    omitted) holds every subexpression already lowered, so each distinct
+    one is lowered once.  The circuit would emit no op for a repeat
+    anyway; the memo saves the Python work of finding that out.
+    """
     if isinstance(expr, Const):
         return const_vec(expr.value)
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, EventValue):
         return env[expr.env_name]
+    if memo is None:
+        memo = {}
+    vec = memo.get(expr)
+    if vec is not None:
+        return vec
     if isinstance(expr, BinOp):
-        return alu.binop(
+        vec = alu.binop(
             expr.op,
-            build_expr(alu, expr.left, env),
-            build_expr(alu, expr.right, env),
+            build_expr(alu, expr.left, env, memo),
+            build_expr(alu, expr.right, env, memo),
         )
-    if isinstance(expr, UnOp):
-        return alu.unop(expr.op, build_expr(alu, expr.operand, env))
-    if isinstance(expr, Cond):
-        cond = build_expr(alu, expr.cond, env)
+    elif isinstance(expr, UnOp):
+        vec = alu.unop(expr.op, build_expr(alu, expr.operand, env, memo))
+    elif isinstance(expr, Cond):
+        cond = build_expr(alu, expr.cond, env, memo)
         if cond.const is not None:
             branch = expr.then if cond.const else expr.otherwise
-            return build_expr(alu, branch, env)
-        return alu.select_vec(
-            alu.nonzero(cond),
-            build_expr(alu, expr.then, env),
-            build_expr(alu, expr.otherwise, env),
+            vec = build_expr(alu, branch, env, memo)
+        else:
+            vec = alu.select_vec(
+                alu.nonzero(cond),
+                build_expr(alu, expr.then, env, memo),
+                build_expr(alu, expr.otherwise, env, memo),
+            )
+    else:
+        raise FleetCompileError(
+            f"cannot bit-slice expression node {type(expr).__name__}"
         )
-    raise FleetCompileError(f"cannot bit-slice expression node {type(expr).__name__}")
+    memo[expr] = vec
+    return vec

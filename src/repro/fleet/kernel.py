@@ -16,6 +16,13 @@ evaluating a whole CFSM reaction for every fleet lane at once:
   the care set, so the kernel needs no runtime conflict planes — the same
   argument that lets the generated C of Sec. V skip the check.
 
+A compile builds only what the kernel reads, once.  Synthesis builds
+the care set, the folded tests and guards (value sets built bottom-up by
+``_mk``, no ITE) and the conditions; the specification and χ are built
+only when read, which a compile never does.  Each machine lowers every
+distinct subexpression once (one ``build_expr`` memo per machine), and
+nothing is kept from one :func:`compile_network` call to the next.
+
 The per-lane scheduling (who reacts this step) lives in
 :mod:`repro.fleet.sim`; a kernel only sees a ``RUN`` plane masking the
 lanes where its machine was picked.  Lanes outside ``RUN`` pass state,
@@ -35,6 +42,7 @@ from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bdd.manager import FALSE_ID, TRUE_ID, Function
+from ..cfsm.expr import Expr
 from ..cfsm.machine import AssignState, Cfsm, Emit
 from ..cfsm.network import Network
 from ..synthesis.reactive import synthesize_reactive
@@ -108,9 +116,10 @@ def compute_event_widths(network: Network) -> Dict[str, int]:
             }
             alu = Alu(Circuit())
             env = _machine_env(cfsm, state_planes, buffer_planes)
+            memo: Dict[Expr, BitVec] = {}
             for action in cfsm.all_actions():
                 if isinstance(action, Emit) and action.value is not None:
-                    width = build_expr(alu, action.value, env).width
+                    width = build_expr(alu, action.value, env, memo).width
                     if width > widths[action.event.name]:
                         widths[action.event.name] = width
                         changed = True
@@ -283,6 +292,7 @@ def _compile_machine(cfsm: Cfsm, event_widths: Dict[str, int]) -> CompiledMachin
         for j, name in enumerate(valued_inputs)
     }
     env = _machine_env(cfsm, state_planes, buffer_planes)
+    memo: Dict[Expr, BitVec] = {}
 
     # Encoding input variable -> plane computing it.
     var_plane: Dict[int, str] = {}
@@ -292,7 +302,7 @@ def _compile_machine(cfsm: Cfsm, event_widths: Dict[str, int]) -> CompiledMachin
         for i, var in enumerate(mvar.bits):
             var_plane[var] = state_planes[name][mvar.num_bits - 1 - i]
     for test in enc.opaque_tests:
-        vec = build_expr(alu, test.expr, env)
+        vec = build_expr(alu, test.expr, env, memo)
         var_plane[enc.opaque_var[test.key()]] = alu.nonzero(vec)
 
     # Condition BDDs -> plane circuits, one select per node, shared
@@ -318,7 +328,7 @@ def _compile_machine(cfsm: Cfsm, event_widths: Dict[str, int]) -> CompiledMachin
         for action in enc.actions:
             if not (isinstance(action, AssignState) and action.var.name == var.name):
                 continue
-            rhs = build_expr(alu, action.value, env)
+            rhs = build_expr(alu, action.value, env, memo)
             wrapped = alu.floormod(rhs, var.num_values)
             sel = selected[action.key()]
             current = [
@@ -345,7 +355,7 @@ def _compile_machine(cfsm: Cfsm, event_widths: Dict[str, int]) -> CompiledMachin
             width = event_widths[event.name]
             value = BitVec([ZERO] * width)
             for a in emitters:
-                vec = build_expr(alu, a.value, env)
+                vec = build_expr(alu, a.value, env, memo)
                 if vec.width > width:
                     raise FleetCompileError(
                         f"{cfsm.name}: emission of {event.name} is "

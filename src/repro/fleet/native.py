@@ -16,6 +16,9 @@ never C.  :func:`fleet_library` builds and loads it through
 :func:`repro.bdd.native.build_and_load` at the first native run of a
 process; on any failure, or on a big-endian host, every shard of the
 process runs :meth:`~repro.fleet.FleetShard.step`.
+:func:`load_fleet_library` makes that first call and returns its wall
+time (a build of ~0.5 s, or a load), so a fleet shard can report it
+apart from its simulation.
 
 The program, in int32s::
 
@@ -35,6 +38,7 @@ outputs'.
 from __future__ import annotations
 
 import sys
+import time
 from array import array
 from pathlib import Path
 from typing import Any, Dict, List
@@ -72,6 +76,16 @@ def fleet_library() -> Any:
         except Exception:
             _fleet_library = None
     return _fleet_library
+
+
+def load_fleet_library() -> float:
+    """Build or load the shard run if this process has not yet; returns
+    the wall time that took in ms, 0.0 when it was already done."""
+    if _fleet_library is not _UNLOADED:
+        return 0.0
+    started = time.perf_counter()
+    fleet_library()
+    return (time.perf_counter() - started) * 1000.0
 
 
 def fleet_engine() -> str:

@@ -178,7 +178,7 @@ class PresenceExpr(Expr):
     def operators(self):
         return iter(())
 
-    def key(self):
+    def _make_key(self):
         return ("presence-expr", self.event_name)
 
 

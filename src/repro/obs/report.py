@@ -523,6 +523,11 @@ def render_sim_bench(doc: Dict[str, Any], top: int = 10) -> str:
             f"{leg.get('speedup', 0.0):7.1f}x"
             + (f" {engine:8.2f}x" if engine is not None else "")
         )
+    compile_ = doc.get("kernel_compile")
+    if compile_:
+        lines.append(
+            f"  kernel compile {compile_.get('wall_s', 0.0) * 1000:.2f} ms"
+        )
     crosscheck = doc.get("crosscheck", {})
     lines.append("")
     lines.append(

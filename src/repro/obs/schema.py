@@ -425,7 +425,8 @@ def _validate_sim_leg(where: str, leg: Any, errors: List[str]) -> None:
 def validate_sim_bench(doc: Dict[str, Any]) -> List[str]:
     """Structural check of a ``repro-sim-bench/v1`` report (BENCH_sim.json).
 
-    ``provenance`` is optional and checked when present.
+    ``provenance`` and ``kernel_compile`` (the compile wall of the
+    network's kernels) are optional and checked when present.
     """
     errors: List[str] = []
     if not isinstance(doc, dict):
@@ -473,6 +474,14 @@ def validate_sim_bench(doc: Dict[str, Any]) -> List[str]:
                 errors.append(f"determinism.{key} missing or not a string")
         if not isinstance(determinism.get("match"), bool):
             errors.append("determinism.match missing or not a boolean")
+    compile_ = doc.get("kernel_compile")
+    if compile_ is not None:
+        if not isinstance(compile_, dict):
+            errors.append("'kernel_compile' is not an object")
+        else:
+            wall = compile_.get("wall_s")
+            if not isinstance(wall, (int, float)) or wall < 0:
+                errors.append("kernel_compile.wall_s must be a non-negative number")
     errors.extend(
         _provenance_errors(doc, ("repetitions",), ("best_of", "rounds"))
     )

@@ -7,24 +7,32 @@ The reactive function maps *test outcomes* to *action selections*:
 * tests that read **only one state variable** are *folded*: the state
   variable itself is encoded as a :class:`~repro.bdd.mdd.MultiValuedVar`
   (a group of binary input variables) and the test becomes a Boolean
-  function of those bits.  This both exposes multiway branching (switch
-  statements on the state code, footnote 3 of the paper) and makes the
-  mutual exclusion of ``s == k`` tests structural instead of a don't-care;
+  function of those bits, the set of the values that satisfy it.  This
+  both exposes multiway branching (switch statements on the state code,
+  footnote 3 of the paper) and makes the mutual exclusion of ``s == k``
+  tests structural instead of a don't-care;
 * every other expression test becomes an *opaque* binary input variable;
   correlations between opaque tests (and state bits) that read the same
   small-domain data are recovered by exhaustive enumeration and contributed
   to the **care set** — the paper's "false paths ... determined ... by
   computing event incompatibility relations" (Sec. III-C).  The
   enumeration visits every joint assignment, but each distinct outcome
-  vector (encoded state values and test outcomes) gives one cube, and the
-  constraint is the balanced OR of those cubes;
+  vector (encoded state values and test outcomes) gives one code, and the
+  constraint is the set of those codes;
 * every distinct action becomes one binary output variable.
+
+Every such set of values or codes (folded tests, in-domain state codes,
+correlation constraints, reachable state codes) is built bottom-up from
+its codes by ``_mk`` (:meth:`~repro.bdd.BddManager.assignments`), one node
+per distinct code prefix, and a transition guard chains its parts the
+same way (:meth:`guard_function`): the ITE operations of a synthesis are
+the care set's ANDs and the conditions' ORs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import BddManager, Function, MultiValuedVar
 from ..cfsm.expr import Expr
@@ -43,7 +51,7 @@ __all__ = ["ReactiveEncoding", "FireFlag"]
 class FireFlag(Action):
     """Virtual action marking "some transition executed" in generated code."""
 
-    def key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("fire",)
 
     def label(self) -> str:
@@ -106,6 +114,8 @@ class ReactiveEncoding:
         self.opaque_tests: List[ExprTest] = []
         self.opaque_var: Dict[Tuple, int] = {}  # test key -> var
         self.folded_tests: Dict[Tuple, Tuple[str, Function]] = {}
+        # Folded test key -> the state values that satisfy the test.
+        self.folded_values: Dict[Tuple, FrozenSet[int]] = {}
         self.test_by_key: Dict[Tuple, Test] = {}
         self.action_vars: Dict[Tuple, int] = {}  # action key -> var
         self.actions: List[Action] = []
@@ -157,12 +167,13 @@ class ReactiveEncoding:
             if name is None:
                 continue
             mvar = self.state_mvars[name]
-            fn = mvar.in_set([
+            values = frozenset(
                 value
                 for value in range(mvar.num_values)
                 if test.expr.evaluate({name: value})
-            ])
-            self.folded_tests[test.key()] = (name, fn)
+            )
+            self.folded_values[test.key()] = values
+            self.folded_tests[test.key()] = (name, mvar.in_set(values))
         # Outputs.
         for action in cfsm.all_actions():
             var = m.new_var(f"act_{len(self.actions)}")
@@ -215,27 +226,37 @@ class ReactiveEncoding:
         encoded = [name for name in names if name in self.state_mvars]
         if not encoded:
             return None
-        projected = {
-            tuple(
-                value
-                for name, value in zip(names, state)
-                if name in self.state_mvars
-            )
-            for state in self.reachable_states
-        }
-        return self.manager.disjoin(
-            self.manager.cube(self._state_literals(encoded, combo))
-            for combo in projected
+        positions = [names.index(name) for name in encoded]
+        return self._state_set(
+            encoded,
+            [tuple(state[i] for i in positions) for state in self.reachable_states],
         )
 
-    def _state_literals(
-        self, names: Sequence[str], values: Sequence[int]
-    ) -> Dict[int, bool]:
-        """Bit literals of ``name == value`` over encoded state variables."""
-        literals: Dict[int, bool] = {}
-        for name, value in zip(names, values):
-            literals.update(self.state_mvars[name].encode(value))
-        return literals
+    def _state_set(
+        self,
+        names: Sequence[str],
+        keys: Iterable[Sequence[int]],
+        test_vars: Sequence[int] = (),
+    ) -> Function:
+        """Set of keys: values of the encoded state variables ``names``,
+        then outcomes of ``test_vars``.
+
+        A key is one code, the state values' codes (most significant
+        first) then one bit per test, and the set is built from the codes
+        bottom-up (:meth:`BddManager.assignments`).
+        """
+        mvars = [self.state_mvars[name] for name in names]
+        variables = [var for mvar in mvars for var in mvar.bits] + list(test_vars)
+        split = len(mvars)
+        codes = []
+        for key in keys:
+            code = 0
+            for mvar, value in zip(mvars, key):
+                code = (code << mvar.num_bits) | value
+            for outcome in key[split:]:
+                code = (code << 1) | outcome
+            codes.append(code)
+        return self.manager.assignments(variables, codes)
 
     def _correlation_components(self) -> List[List[ExprTest]]:
         """Connected components of opaque tests sharing a read variable."""
@@ -284,7 +305,7 @@ class ReactiveEncoding:
         domain exceeds ``enum_limit``), skipping unreachable state
         combinations.  The constraint is the set of outcome vectors that
         occur: each distinct vector of encoded state values and test
-        outcomes gives one cube, and the result is their OR.
+        outcomes is one code of :meth:`_state_set`.
         """
         names: Set[str] = set()
         for test in tests:
@@ -326,13 +347,7 @@ class ReactiveEncoding:
             )
             keys[key] = None
         test_vars = [self.opaque_var[test.key()] for test in tests]
-        split = len(encoded)
-        cubes = []
-        for key in keys:
-            literals = self._state_literals(encoded, key[:split])
-            literals.update(zip(test_vars, key[split:]))
-            cubes.append(self.manager.cube(literals))
-        return self.manager.disjoin(cubes)
+        return self._state_set(encoded, keys, test_vars)
 
     def _allowed_state_combos(self, state_names: List[str]):
         """Reachable joint valuations of ``state_names`` (None = no info)."""
@@ -364,9 +379,41 @@ class ReactiveEncoding:
         return fn if literal.value else ~fn
 
     def guard_function(self, literals: Sequence[TestLiteral]) -> Function:
-        return self.manager.conjoin(
-            self.literal_function(lit) for lit in literals
-        )
+        """BDD of a transition guard, the AND of its literals.
+
+        Each presence or opaque literal is a one-variable part, and the
+        literals on one folded state variable make one part: the codes
+        every one of them accepts, where a negated test accepts every
+        other code, invalid codes included.  The manager chains the parts
+        with ``_mk`` (:meth:`BddManager.conjoin_assignments`).
+        """
+        parts = []
+        # State variable -> the codes every literal on it accepts so far.
+        states: Dict[str, Set[int]] = {}
+        for literal in literals:
+            test = literal.test
+            key = test.key()
+            if isinstance(test, PresenceTest):
+                var = self.presence_vars[test.event.name]
+            elif key in self.opaque_var:
+                var = self.opaque_var[key]
+            elif key in self.folded_tests:
+                name = self.folded_tests[key][0]
+                codes = states.get(name)
+                if codes is None:
+                    codes = set(range(1 << self.state_mvars[name].num_bits))
+                    states[name] = codes
+                if literal.value:
+                    codes &= self.folded_values[key]
+                else:
+                    codes -= self.folded_values[key]
+                continue
+            else:  # pragma: no cover - defensive
+                raise KeyError(f"unencoded test {test.label()}")
+            parts.append(([var], [int(literal.value)]))
+        for name, codes in states.items():
+            parts.append((self.state_mvars[name].bits, codes))
+        return self.manager.conjoin_assignments(parts)
 
     # ------------------------------------------------------------------
     # Runtime views (used by interpreters and codegen)

@@ -15,6 +15,7 @@ resolves that freedom to the cheapest option, "no assignment"
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..bdd import (
@@ -64,22 +65,34 @@ class ReactiveFunction:
         # virtual FIRE output covering them.
         visible = self.manager.disjoin(self.conditions.values())
         if not (self.fire_condition & ~visible & self.care).is_false:
-            var = encoding.add_virtual_output(FireFlag(), "act_fire")
+            encoding.add_virtual_output(FireFlag(), "act_fire")
             self.conditions[FireFlag().key()] = self.fire_condition
 
-        # spec = AND_j (o_j <-> cond_j), one balanced AND over the actions.
-        self.spec = self.manager.conjoin(
-            self.manager.var(encoding.action_vars[action.key()]).iff(
+    # spec and chi are built at their first read: the s-graph flow reads
+    # chi at once, while the fleet kernels and the reachability analysis
+    # read only the conditions and never pay for either.
+
+    @functools.cached_property
+    def spec(self) -> Function:
+        """AND_j (o_j <-> cond_j), one balanced AND over the actions."""
+        return self.manager.conjoin(
+            self.manager.var(self.encoding.action_vars[action.key()]).iff(
                 self.conditions[action.key()]
             )
-            for action in encoding.actions
+            for action in self.encoding.actions
         )
-        # chi = care & spec: inputs outside the care set make chi
-        # unsatisfiable, so the s-graph builder routes them to END through
-        # *infeasible* edges — the paper's false paths, excludable from
-        # worst-case timing analysis (Sec. III-C).  The don't-care output
-        # flexibility stays: an infeasible input demands no action at all.
-        self.chi: Function = self.care & self.spec
+
+    @functools.cached_property
+    def chi(self) -> Function:
+        """The characteristic function ``care & spec``.
+
+        Inputs outside the care set make chi unsatisfiable, so the s-graph
+        builder routes them to END through *infeasible* edges — the
+        paper's false paths, excludable from worst-case timing analysis
+        (Sec. III-C).  The don't-care output flexibility stays: an
+        infeasible input demands no action at all.
+        """
+        return self.care & self.spec
 
     # -- views ---------------------------------------------------------------
 

@@ -315,3 +315,65 @@ class TestGarbageCollection:
         g = f & mgr3.var(1)
         assert g({0: True, 1: True, 2: False})
         mgr3.check()
+
+
+class TestAssignmentSets:
+    """``assignments`` / ``conjoin_assignments`` build by ``_mk`` alone the
+    functions the cube-by-cube OR and the ITE AND build."""
+
+    @staticmethod
+    def cube_by_cube(m, variables, codes):
+        n = len(variables)
+        f = m.false
+        for code in codes:
+            f = f | m.cube(
+                {v: bool((code >> (n - 1 - i)) & 1) for i, v in enumerate(variables)}
+            )
+        return f
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sets_at_any_order(self, seed):
+        import random
+
+        from repro.bdd import apply_order
+
+        rng = random.Random(seed)
+        m = BddManager()
+        variables = [m.new_var() for _ in range(5)]
+        order = list(variables)
+        rng.shuffle(order)
+        apply_order(m, order)
+        ite_misses = m.ite_misses
+        sets = []
+        for size in (0, 1, 7, 19, 31, 32):
+            codes = rng.sample(range(32), size)
+            sets.append((codes, m.assignments(variables, codes)))
+        assert m.ite_misses == ite_misses
+        for codes, f in sets:
+            assert f == self.cube_by_cube(m, variables, codes)
+        m.check()
+
+    def test_full_and_empty_sets_are_constants(self, mgr3):
+        assert mgr3.assignments([0, 1, 2], range(8)).is_true
+        assert mgr3.assignments([0, 1, 2], []).is_false
+
+    @pytest.mark.parametrize("split", [False, True], ids=["chained", "interleaved"])
+    def test_conjunction_of_parts(self, split):
+        from repro.bdd import apply_order
+
+        m = BddManager()
+        a = [m.new_var() for _ in range(3)]
+        x = m.new_var()
+        b = [m.new_var() for _ in range(2)]
+        if split:  # x and b's bits between a's: the parts interleave
+            apply_order(m, [a[0], x, b[0], a[1], b[1], a[2]])
+        parts = [(a, [1, 4, 6]), ([x], [0]), (b, [0, 1, 3])]
+        ite_misses = m.ite_misses
+        f = m.conjoin_assignments(parts)
+        assert (m.ite_misses == ite_misses) is not split
+        expected = m.true
+        for variables, codes in parts:
+            expected = expected & self.cube_by_cube(m, variables, codes)
+        assert f == expected
+        assert m.conjoin_assignments([]).is_true
+        m.check()

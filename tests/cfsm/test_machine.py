@@ -172,3 +172,30 @@ class TestCfsmViews:
 
     def test_sensitivity(self, counter_cfsm):
         assert counter_cfsm.sensitivity() == {"up", "rst"}
+
+
+def test_pickled_cfsm_is_no_larger_once_its_keys_are_computed():
+    """Keys (and hashes) are cached per node but never pickled, so a pool
+    task carrying a machine does not grow once the machine was keyed."""
+    import pickle
+    from pathlib import Path
+
+    from repro.frontend import compile_source
+    from repro.pipeline.cache import cfsm_fingerprint
+    from repro.synthesis import synthesize_reactive
+
+    rsl = Path(__file__).resolve().parents[2] / "examples" / "rsl" / "speedo.rsl"
+    cfsm = compile_source(rsl.read_text(encoding="utf-8"))
+    before = pickle.dumps(cfsm)
+    cfsm_fingerprint(cfsm)
+    synthesize_reactive(cfsm)
+    keyed = [lit.test for t in cfsm.transitions for lit in t.guard]
+    keyed += [a for t in cfsm.transitions for a in t.actions]
+    assert all(node._key is not None for node in keyed)
+    after = pickle.dumps(cfsm)
+    assert len(after) <= len(before)
+    copy = pickle.loads(after)
+    assert [a.key() for a in copy.all_actions()] == [
+        a.key() for a in cfsm.all_actions()
+    ]
+    assert [t.key() for t in copy.all_tests()] == [t.key() for t in cfsm.all_tests()]

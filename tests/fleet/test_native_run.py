@@ -24,6 +24,7 @@ from repro.fleet import (
     FleetConfig,
     FleetShard,
     campaign_case,
+    check_lanes,
     compile_network,
     default_spec,
     native,
@@ -245,3 +246,39 @@ def test_importing_the_fleet_and_the_flow_loads_no_ctypes():
     )
     assert done.stdout == "False\n"
 
+
+def test_the_first_load_is_compile_time_not_simulation(designs, monkeypatch):
+    """A process's first native run builds or loads the shard run.  The
+    shard that paid for it reports the time once (``fleet_library_ms``),
+    and the summary counts it in ``compile_ms``, so the rate leaves it out."""
+    network, compiled, _ = designs["dashboard"]
+    config = FleetConfig(
+        instances=256, steps=20, seed=1, jobs=1, lanes_per_shard=128
+    )
+    monkeypatch.setattr(native, "_fleet_library", native._UNLOADED)
+    trace = BuildTrace()
+    first = run_fleet(network, config, trace=trace, compiled=compiled)
+    loads = [
+        event["metrics"]["fleet_library_ms"]
+        for event in trace.to_dict()["events"]
+        if event["name"] == "fleet.shard"
+    ]
+    assert len(loads) == 2 and loads[0] > 0 and loads[1] == 0.0
+    assert trace.metrics["fleet_library_ms"] == loads[0]
+    assert first["compile_ms"] == loads[0]
+    again = run_fleet(network, config, compiled=compiled)
+    assert again["compile_ms"] == 0.0
+    assert outcome(again) == outcome(first)
+
+
+def test_a_load_outside_a_fleet_run_is_not_its_compile_time(designs, monkeypatch):
+    """A load paid by ``check_lanes`` (or any direct shard run) is its
+    own: the fleet run after it reports no compile time it did not pay."""
+    network, compiled, _ = designs["dashboard"]
+    config = FleetConfig(
+        instances=256, steps=20, seed=1, jobs=1, lanes_per_shard=128
+    )
+    monkeypatch.setattr(native, "_fleet_library", native._UNLOADED)
+    assert check_lanes(network, config, [0, 200], compiled=compiled) == []
+    summary = run_fleet(network, config, compiled=compiled)
+    assert summary["compile_ms"] == 0.0

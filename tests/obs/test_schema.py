@@ -438,6 +438,24 @@ class TestSimBenchValidation:
         assert any("engine_speedup" in e for e in errors)
         assert any("provenance.rounds" in e for e in errors)
 
+    def test_kernel_compile_is_optional_but_checked(self):
+        from repro.obs import render_report, validate_sim_bench
+
+        doc = valid_sim_doc()
+        doc["kernel_compile"] = {"wall_s": 0.0116}
+        assert validate_sim_bench(doc) == []
+        (row,) = [
+            line for line in render_report(doc).splitlines()
+            if "kernel compile" in line
+        ]
+        assert "11.60 ms" in row
+        doc["kernel_compile"]["wall_s"] = -1.0
+        assert any("kernel_compile.wall_s" in e for e in validate_sim_bench(doc))
+        del doc["kernel_compile"]["wall_s"]
+        assert any("kernel_compile.wall_s" in e for e in validate_sim_bench(doc))
+        doc["kernel_compile"] = 0.0116
+        assert "'kernel_compile' is not an object" in validate_sim_bench(doc)
+
     def test_wrong_format_and_missing_sections(self):
         from repro.obs import validate_sim_bench
 

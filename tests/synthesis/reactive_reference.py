@@ -1,24 +1,32 @@
 """Reference construction of the reactive function and its cross-check.
 
 The library (:mod:`repro.synthesis.encoding`, :mod:`repro.synthesis.reactive`)
-builds each BDD of the reactive function from its distinct parts, once:
-one cube per distinct test-outcome key of a correlation component, one
-balanced OR or AND per condition, ``fire_condition`` and ``spec``.  The
-functions below keep the direct construction it replaced: the care
-constraint ORs one cube into an accumulator per enumerated joint
-assignment, folded state tests OR one ``mvar.equals(v)`` per accepted
-value, the reachability constraint ORs one cube per reachable state
-combination, and conditions, ``fire_condition`` and ``spec`` are left
-folds over the transitions and actions.
+builds each BDD of the reactive function from its distinct parts, once.
+Value sets (folded state tests, in-domain codes, a correlation
+component's distinct test-outcome keys, reachable state codes) are built
+bottom-up from their codes by ``_mk`` (``BddManager.assignments``); a
+guard chains one part per single-variable literal and one value set per
+folded state variable (``BddManager.conjoin_assignments``); conditions,
+``fire_condition`` and ``spec`` are balanced ORs and ANDs.  The functions
+below keep the direct construction it replaced: every value set ORs one
+cube per value, code or enumerated joint assignment into an accumulator,
+a guard ANDs one literal at a time (a folded literal being the OR of its
+values' ``mvar.equals(v)`` cubes, negated for a negated literal), and
+conditions, ``fire_condition`` and ``spec`` are left folds over the
+transitions and actions.
 
 Both run in the *same* manager at the same order, so equal functions are
-equal edges: the cross-check compares ``Function.id``.  The corpus is the
-sift corpus of :mod:`tests.bdd.sift_reference` (the 17 example modules, also
-without state-test folding, the first 300 ``generate_case(7, i)`` machines
-and the 64 build-cold machines) plus, with reachable-state don't-cares,
-the sparse-cycle machine of ``tests/sgraph/test_reachability_dontcares.py``
-and eight example modules.  The tier-1 tests check a part of it; the whole
-of it runs as::
+equal edges: the cross-check compares ``Function.id``.  It compares them at
+the naive order the library synthesizes at, then rebuilds the value sets,
+the care set and the guards both ways after ``mixed_order`` (which can
+split a state variable's bits and interleave the parts of a guard) and
+after sifting (which moves state bits away from their allocation order).
+The corpus is the sift corpus of :mod:`tests.bdd.sift_reference` (the 17
+example modules, also without state-test folding, the first 300
+``generate_case(7, i)`` machines and the 64 build-cold machines) plus,
+with reachable-state don't-cares, the sparse-cycle machine of
+``tests/sgraph/test_reachability_dontcares.py`` and eight example modules.
+The tier-1 tests check a part of it; the whole of it runs as::
 
     PYTHONPATH=src python -m tests.synthesis.reactive_reference
 """
@@ -30,6 +38,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.bdd import Function
+from repro.sgraph import mixed_order, sifted_order
 from repro.synthesis import ReactiveFunction, synthesize_reactive
 from repro.synthesis.encoding import FireFlag, ReactiveEncoding
 from repro.verify import ReachabilityAnalysis
@@ -59,18 +68,45 @@ REACHABLE_EXAMPLES = (
 # ----------------------------------------------------------------------
 
 
+def reference_value_set(mvar, values) -> Function:
+    """``mvar in values`` as an OR of one ``equals`` cube per value."""
+    fn = mvar.manager.false
+    for value in values:
+        fn = fn | mvar.equals(value)
+    return fn
+
+
+def reference_folded_test(encoding: ReactiveEncoding, key: Tuple) -> Function:
+    """A folded state test, from the values that satisfy it."""
+    name = encoding.folded_tests[key][0]
+    mvar = encoding.state_mvars[name]
+    test = encoding.test_by_key[key]
+    return reference_value_set(
+        mvar,
+        [v for v in range(mvar.num_values) if test.expr.evaluate({name: v})],
+    )
+
+
 def reference_folded_tests(encoding: ReactiveEncoding) -> Dict[Tuple, Function]:
-    """Each folded state test as an OR of one ``equals`` per accepted value."""
-    folded = {}
-    for key, (name, _) in encoding.folded_tests.items():
-        test = encoding.test_by_key[key]
-        mvar = encoding.state_mvars[name]
-        fn = encoding.manager.false
-        for value in range(mvar.num_values):
-            if test.expr.evaluate({name: value}):
-                fn = fn | mvar.equals(value)
-        folded[key] = fn
-    return folded
+    """Every folded state test, cube by cube."""
+    return {key: reference_folded_test(encoding, key) for key in encoding.folded_tests}
+
+
+def reference_guard(encoding: ReactiveEncoding, literals) -> Function:
+    """A guard, AND-ed one literal at a time."""
+    manager = encoding.manager
+    guard = manager.true
+    for literal in literals:
+        test = literal.test
+        key = test.key()
+        if key in encoding.folded_tests:
+            fn = reference_folded_test(encoding, key)
+        elif key in encoding.opaque_var:
+            fn = manager.var(encoding.opaque_var[key])
+        else:
+            fn = manager.var(encoding.presence_vars[test.event.name])
+        guard = guard & (fn if literal.value else ~fn)
+    return guard
 
 
 def reference_component_constraint(
@@ -151,7 +187,7 @@ def reference_care(encoding: ReactiveEncoding) -> Function:
     care = encoding.manager.true
     for mvar in encoding.state_mvars.values():
         if mvar.num_values != (1 << mvar.num_bits):
-            care = care & mvar.valid()
+            care = care & reference_value_set(mvar, range(mvar.num_values))
     for component in encoding._correlation_components():
         constraint = reference_component_constraint(encoding, component)
         if constraint is not None:
@@ -165,8 +201,8 @@ def reference_care(encoding: ReactiveEncoding) -> Function:
 def reference_functions(rf: ReactiveFunction) -> Dict[str, Function]:
     """Every live root of ``rf``, rebuilt by the reference construction.
 
-    Keys: ``care``, ``folded:<test key>``, ``cond:<action key>``,
-    ``fire_condition``, ``spec`` and ``chi``.  The virtual FIRE output is
+    Keys: ``care``, ``folded:<test key>``, ``guard:<transition index>``,
+    ``cond:<action key>``, ``fire_condition``, ``spec`` and ``chi``.  The virtual FIRE output is
     the library's variable; whether the reference would add it is checked
     against whether the library did.
     """
@@ -181,8 +217,9 @@ def reference_functions(rf: ReactiveFunction) -> Dict[str, Function]:
         if action.key() != fire
     }
     fire_condition = manager.false
-    for transition in rf.cfsm.transitions:
-        cube = encoding.guard_function(transition.guard)
+    for index, transition in enumerate(rf.cfsm.transitions):
+        cube = reference_guard(encoding, transition.guard)
+        functions[f"guard:{index}"] = cube
         fire_condition = fire_condition | cube
         for action in transition.actions:
             key = action.key()
@@ -207,10 +244,15 @@ def reference_functions(rf: ReactiveFunction) -> Dict[str, Function]:
 
 
 def library_functions(rf: ReactiveFunction) -> Dict[str, Function]:
-    """The same live roots, as the library built them (keys as above)."""
+    """The same functions, as the library built them (keys as above).
+
+    The guards are not kept by the library, so they are built again.
+    """
     functions: Dict[str, Function] = {"care": rf.care}
     for key, (_, fn) in rf.encoding.folded_tests.items():
         functions[f"folded:{key}"] = fn
+    for index, transition in enumerate(rf.cfsm.transitions):
+        functions[f"guard:{index}"] = rf.encoding.guard_function(transition.guard)
     for key, condition in rf.conditions.items():
         functions[f"cond:{key}"] = condition
     functions["fire_condition"] = rf.fire_condition
@@ -219,19 +261,55 @@ def library_functions(rf: ReactiveFunction) -> Dict[str, Function]:
     return functions
 
 
+def rebuilt_library_functions(rf: ReactiveFunction) -> Dict[str, Function]:
+    """The library's value sets, care set and guards, built again at the
+    manager's current order (keys as above)."""
+    encoding = rf.encoding
+    functions: Dict[str, Function] = {"care": encoding._build_care()}
+    for key, (name, _) in encoding.folded_tests.items():
+        mvar = encoding.state_mvars[name]
+        functions[f"folded:{key}"] = mvar.in_set(encoding.folded_values[key])
+    for index, transition in enumerate(rf.cfsm.transitions):
+        functions[f"guard:{index}"] = encoding.guard_function(transition.guard)
+    return functions
+
+
+def rebuilt_reference_functions(rf: ReactiveFunction) -> Dict[str, Function]:
+    """The same functions by the reference construction, at the current
+    order."""
+    encoding = rf.encoding
+    functions: Dict[str, Function] = {"care": reference_care(encoding)}
+    for key, fn in reference_folded_tests(encoding).items():
+        functions[f"folded:{key}"] = fn
+    for index, transition in enumerate(rf.cfsm.transitions):
+        functions[f"guard:{index}"] = reference_guard(encoding, transition.guard)
+    return functions
+
+
 # ----------------------------------------------------------------------
 # Cross-check
 # ----------------------------------------------------------------------
+
+#: The orders the value sets, care set and guards are rebuilt at after
+#: the naive order: a random interleaving that can split a state
+#: variable's bits, and the sifted order of the build flow.
+REORDERS = {
+    "mixed": lambda rf: mixed_order(rf, seed=0),
+    "sifted": lambda rf: sifted_order(rf),
+}
 
 
 def crosscheck_machine(
     cfsm, fold_state_tests: bool = True, reachable_states=None
 ) -> int:
-    """Assert the library's live roots are the reference's edges.
+    """Assert the library's functions are the reference's edges.
 
-    Synthesizes ``cfsm`` at the naive order, rebuilds every root with the
-    reference construction in the same manager and compares edges; returns
-    the number of functions compared.
+    Synthesizes ``cfsm`` at the naive order, rebuilds every function with
+    the reference construction in the same manager and compares edges;
+    then, at each order of :data:`REORDERS`, rebuilds the value sets, the
+    care set and the guards both ways and compares them again (and the
+    care set with the one synthesized).  Returns the number of functions
+    compared.
     """
     rf = synthesize_reactive(
         cfsm, fold_state_tests=fold_state_tests, reachable_states=reachable_states
@@ -241,7 +319,18 @@ def crosscheck_machine(
     assert sorted(library) == sorted(reference), cfsm.name
     for name, fn in library.items():
         assert fn.id == reference[name].id, (cfsm.name, fold_state_tests, name)
-    return len(library)
+    compared = len(library)
+    for order, reorder in REORDERS.items():
+        reorder(rf)
+        library = rebuilt_library_functions(rf)
+        reference = rebuilt_reference_functions(rf)
+        assert library["care"].id == rf.care.id, (cfsm.name, order)
+        for name, fn in library.items():
+            assert fn.id == reference[name].id, (
+                cfsm.name, fold_state_tests, order, name,
+            )
+        compared += len(library)
+    return compared
 
 
 def reachable_states_of(cfsm):

@@ -49,6 +49,22 @@ class TestConditions:
             assert both_ok.is_false
 
 
+class TestLazyCharacteristicFunction:
+    """spec and chi are built at their first read, so a kernel compile
+    (which reads only the conditions) never builds either."""
+
+    def test_neither_is_built_until_read(self, modal_cfsm):
+        rf = synthesize_reactive(modal_cfsm)
+        assert "spec" not in vars(rf) and "chi" not in vars(rf)
+
+    def test_chi_read_later_is_care_and_spec(self, modal_cfsm):
+        rf = synthesize_reactive(modal_cfsm)
+        chi = rf.chi
+        assert "spec" in vars(rf)
+        assert chi == rf.care & rf.spec
+        assert rf.chi is chi and not chi.is_constant
+
+
 class TestFireFlag:
     def test_fire_flag_added_for_silent_transitions(self):
         b = CfsmBuilder("silent")
