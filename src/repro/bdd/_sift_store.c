@@ -5,10 +5,11 @@
  * repro.bdd.manager: a struct-of-arrays node store whose slot 0 is the
  * terminal, edges (slot << 1) | complement, the complement bit never on a
  * then-edge, and one chained unique subtable per variable threaded
- * through next[].  The Python sifting pass drives it: it adjacent-swaps
- * two variables, reads the function's semantic size and its live-node
- * count, and takes, restores and frees checkpoints.  The variable order,
- * the swap counters and every sifting decision stay in Python.
+ * through next[].  Its operations adjacent-swap two variables, read the
+ * function's semantic size and its live-node count, and take, restore and
+ * free checkpoints.  ss_sift_pass runs a whole sifting pass on them, with
+ * the decisions of repro.bdd.sifting._sift_pass; the variable order and
+ * the swap counters are the caller's, handed in and out.
  *
  * The store has no operation caches, so a node whose count drops to zero
  * is freed at once, and the live-node count is the allocated count.
@@ -39,14 +40,18 @@ typedef struct {
     unsigned gen;
     int *stack;      /* 2 * cap: the size walk, and the cascades of frees */
     int *work;       /* 3 * cap: a swap's moved nodes and their old children */
+    unsigned char *support; /* per variable: does the function depend on it */
+    int **clean;     /* per block, known by its top variable: the order its
+                        last sift left it in place from, or NULL */
 } Store;
 
 /* The node arrays, the counts and the subtables of a store; the level
- * maps are the Python side's. */
+ * maps are the caller's. */
 typedef struct {
     int slots, free_head, live;
-    int *data; /* var, lo, hi, ref, next (slots each), nbuckets, count
-                  (nvars each), then every subtable's buckets */
+    size_t cap; /* ints allocated at data */
+    int *data;  /* var, lo, hi, ref, next (slots each), nbuckets, count
+                   (nvars each), then every subtable's buckets */
 } Checkpoint;
 
 static unsigned hash(int lo, int hi)
@@ -194,6 +199,11 @@ void ss_free(Store *s)
     if (s->buckets)
         for (v = 0; v < s->nvars; v++)
             free(s->buckets[v]);
+    if (s->clean)
+        for (v = 0; v < s->nvars; v++)
+            free(s->clean[v]);
+    free(s->clean);
+    free(s->support);
     free(s->buckets);
     free(s->nbuckets);
     free(s->bucket_cap);
@@ -221,15 +231,19 @@ Store *ss_new(int nvars, int n, const int *var, const int *lo, const int *hi,
     if (!s || !(s->buckets = calloc(m, sizeof *s->buckets)) ||
         !(s->nbuckets = calloc(m, sizeof(int))) ||
         !(s->bucket_cap = calloc(m, sizeof(int))) ||
-        !(s->count = calloc(m, sizeof(int))) || reserve_nodes(s, n + 1))
+        !(s->count = calloc(m, sizeof(int))) ||
+        !(s->support = calloc(m, 1)) ||
+        !(s->clean = calloc(m, sizeof *s->clean)) || reserve_nodes(s, n + 1))
         goto fail;
     s->nvars = nvars;
     s->root = root;
     s->var[0] = TERMINAL_VAR;
     s->lo[0] = s->hi[0] = s->next[0] = 0;
     s->ref[0] = 1;
-    for (i = 0; i < n; i++)
+    for (i = 0; i < n; i++) {
         s->count[var[i]]++;
+        s->support[var[i]] = 1;
+    }
     for (v = 0; v < nvars; v++) {
         int nb = INITIAL_BUCKETS;
         while (s->count[v] > 2 * nb)
@@ -379,22 +393,36 @@ static void transfer(Store *s, int *d, size_t n, int back)
 #undef MOVE
 }
 
-/* A copy of the store's nodes and subtables; NULL when out of memory. */
-Checkpoint *ss_checkpoint(Store *s)
+/* Copy the store's nodes and subtables into cp, growing its buffer as
+ * needed.  -1, with cp unchanged, when out of memory. */
+static int take(Store *s, Checkpoint *cp)
 {
-    Checkpoint *cp = malloc(sizeof *cp);
     size_t len = 5 * (size_t)s->slots + 2 * (size_t)s->nvars;
     int v;
     for (v = 0; v < s->nvars; v++)
         len += (size_t)s->nbuckets[v];
-    if (!cp || !(cp->data = malloc(len * sizeof(int)))) {
-        free(cp);
-        return NULL;
+    if (len > cp->cap) {
+        int *data = realloc(cp->data, len * sizeof *data);
+        if (!data)
+            return -1;
+        cp->data = data;
+        cp->cap = len;
     }
     cp->slots = s->slots;
     cp->free_head = s->free_head;
     cp->live = s->live;
     transfer(s, cp->data, (size_t)s->slots, 0);
+    return 0;
+}
+
+/* A copy of the store's nodes and subtables; NULL when out of memory. */
+Checkpoint *ss_checkpoint(Store *s)
+{
+    Checkpoint *cp = calloc(1, sizeof *cp);
+    if (cp && take(s, cp)) {
+        free(cp);
+        return NULL;
+    }
     return cp;
 }
 
@@ -414,4 +442,224 @@ void ss_free_checkpoint(Checkpoint *cp)
         free(cp->data);
         free(cp);
     }
+}
+
+/* One sifting pass: the store, the level maps, the block layout and each
+ * block's position, the checkpoint buffer and the order at the sifted
+ * block's start, and the pass's counters. */
+typedef struct {
+    Store *s;
+    Checkpoint *cp;
+    int *order, *level, *saved;
+    const int *first, *vars; /* block b: vars[first[b] .. first[b + 1]),
+                                top to bottom */
+    int *at, *pos;           /* position -> block, block -> position */
+    int swaps, skips;
+} Pass;
+
+/* Swap the variables at `lvl` and `lvl` + 1.  A pair with a variable
+ * outside the function's support only swaps names, counted as a skip. */
+static int swap_level(Pass *p, int lvl)
+{
+    int x = p->order[lvl], y = p->order[lvl + 1];
+    p->swaps++;
+    if (!p->s->support[x] || !p->s->support[y])
+        p->skips++;
+    else if (ss_swap(p->s, x, y))
+        return -1;
+    p->order[lvl] = y;
+    p->order[lvl + 1] = x;
+    p->level[x] = lvl + 1;
+    p->level[y] = lvl;
+    return 0;
+}
+
+/* Exchange the blocks at positions i and i + 1: each variable of the top
+ * block, bottom-most first, swaps down past the whole bottom block. */
+static int exchange(Pass *p, int i)
+{
+    int top = p->at[i], bottom = p->at[i + 1];
+    int k = p->first[top + 1] - p->first[top];
+    int m = p->first[bottom + 1] - p->first[bottom];
+    int lvl = p->level[p->vars[p->first[top]]], j, r;
+    for (j = k - 1; j >= 0; j--)
+        for (r = 0; r < m; r++)
+            if (swap_level(p, lvl + j + r))
+                return -1;
+    p->at[i] = bottom;
+    p->at[i + 1] = top;
+    p->pos[bottom] = i;
+    p->pos[top] = i + 1;
+    return 0;
+}
+
+/* Roll block b back from position `current` to its sift's start. */
+static void return_to_start(Pass *p, int b, int start, int current)
+{
+    int nvars = p->s->nvars, j;
+    ss_rollback(p->s, p->cp);
+    memcpy(p->order, p->saved, (size_t)nvars * sizeof *p->order);
+    for (j = 0; j < nvars; j++)
+        p->level[p->order[j]] = j;
+    for (j = current; j > start; j--)
+        p->pos[p->at[j] = p->at[j - 1]] = j;
+    for (j = current; j < start; j++)
+        p->pos[p->at[j] = p->at[j + 1]] = j;
+    p->pos[p->at[start] = b] = start;
+}
+
+static int exceeds(int size, int best, double max_growth)
+{
+    return (double)size > (double)best * max_growth;
+}
+
+/* Sift every block once, in `schedule` order, as
+ * repro.bdd.sifting._sift_pass does on a store: `nblocks` blocks whose
+ * variables, listed top to bottom, are vars[first[b] .. first[b + 1]), and
+ * laid out in that order in `order` (var_at_level; `level` is
+ * level_of_var; both are updated in place).
+ * above[above_first[v] .. above_first[v + 1]) are the variables that must
+ * stay above v, below[...] likewise; above_first NULL means none.  cp is
+ * the buffer every block's checkpoint is taken into.  counts receives the
+ * swaps and skips made; samples, unless NULL, (size, swaps, skips, live
+ * nodes) after each block the Python pass samples, with swaps and skips
+ * counted from the pass's start.  Returns the number of samples, or -1
+ * when out of memory (the store is then left mid-pass). */
+int ss_sift_pass(Store *s, Checkpoint *cp, int *order, int *level,
+                 int nblocks, const int *first, const int *vars,
+                 const int *schedule,
+                 const int *above_first, const int *above,
+                 const int *below_first, const int *below, double max_growth,
+                 int *counts, int *samples)
+{
+    int nvars = s->nvars, taken = 0, failed = -1, t, b, j, i;
+    int *block_of, *sizes;
+    Pass p;
+    p.s = s;
+    p.cp = cp;
+    p.order = order;
+    p.level = level;
+    p.first = first;
+    p.vars = vars;
+    p.swaps = p.skips = 0;
+    p.saved = malloc((2 * (size_t)nvars + 3 * (size_t)nblocks + 1) * sizeof(int));
+    if (!p.saved)
+        return -1;
+    block_of = p.saved + nvars;
+    p.at = block_of + nvars;
+    p.pos = p.at + nblocks;
+    sizes = p.pos + nblocks;
+    for (b = 0; b < nblocks; b++) {
+        p.at[b] = p.pos[b] = b;
+        for (j = first[b]; j < first[b + 1]; j++)
+            block_of[vars[j]] = b;
+    }
+    for (t = 0; t < nblocks; t++) {
+        int start, lo = 0, hi = nblocks - 1, current, best, best_pos, size;
+        int key, nsizes = 0;
+        double limit;
+        b = schedule[t];
+        start = p.pos[b];
+        key = vars[first[b]];
+        if (above_first)
+            for (j = first[b]; j < first[b + 1]; j++) {
+                int v = vars[j];
+                for (i = above_first[v]; i < above_first[v + 1]; i++) {
+                    int c = block_of[above[i]], at;
+                    if (c == b)
+                        continue;
+                    at = p.pos[c];
+                    at = at < start ? at + 1 : at;
+                    lo = at > lo ? at : lo;
+                }
+                for (i = below_first[v]; i < below_first[v + 1]; i++) {
+                    int c = block_of[below[i]], at;
+                    if (c == b)
+                        continue;
+                    at = p.pos[c];
+                    at = at > start ? at - 1 : at;
+                    hi = at < hi ? at : hi;
+                }
+            }
+        if (lo == start && hi == start)
+            continue;
+        if (s->clean[key] &&
+            !memcmp(s->clean[key], order, (size_t)nvars * sizeof *order))
+            goto sample; /* sifted from this very order and left in place */
+
+        best = ss_size(s);
+        best_pos = current = start;
+        if (take(s, cp))
+            goto done;
+        memcpy(p.saved, order, (size_t)nvars * sizeof *order);
+        /* Phase 1: sift down towards hi, recording each size. */
+        sizes[nsizes++] = best;
+        while (current < hi) {
+            if (exchange(&p, current++))
+                goto done;
+            sizes[nsizes++] = size = ss_size(s);
+            if (size < best) {
+                best = size;
+                best_pos = current;
+            } else if (exceeds(size, best, max_growth)) {
+                break;
+            }
+        }
+        /* Phase 2: climb past the start when no recorded size aborts the
+         * climb back through them, returning to the start by rollback. */
+        limit = (double)best * max_growth;
+        if (lo < start) {
+            for (i = 0; i < current - start && (double)sizes[i] <= limit; i++)
+                ;
+            if (i == current - start) {
+                if (current != start)
+                    return_to_start(&p, b, start, current);
+                current = start;
+                while (current > lo) {
+                    if (exchange(&p, --current))
+                        goto done;
+                    size = ss_size(s);
+                    if (size < best) {
+                        best = size;
+                        best_pos = current;
+                    } else if (exceeds(size, best, max_growth)) {
+                        break;
+                    }
+                }
+            }
+        }
+        /* Phase 3: freeze at the best position, from the start when that
+         * is nearer. */
+        if (current != start &&
+            abs(best_pos - start) < abs(best_pos - current)) {
+            return_to_start(&p, b, start, current);
+            current = start;
+        }
+        for (; current < best_pos; current++)
+            if (exchange(&p, current))
+                goto done;
+        for (; current > best_pos; current--)
+            if (exchange(&p, current - 1))
+                goto done;
+        if (current == start) {
+            if (!s->clean[key] &&
+                !(s->clean[key] = malloc((size_t)nvars * sizeof *order)))
+                goto done;
+            memcpy(s->clean[key], p.saved, (size_t)nvars * sizeof *order);
+        }
+    sample:
+        if (samples) {
+            samples[4 * taken] = ss_size(s);
+            samples[4 * taken + 1] = p.swaps;
+            samples[4 * taken + 2] = p.skips;
+            samples[4 * taken + 3] = s->live;
+            taken++;
+        }
+    }
+    failed = 0;
+done:
+    counts[0] = p.swaps;
+    counts[1] = p.skips;
+    free(p.saved);
+    return failed ? -1 : taken;
 }

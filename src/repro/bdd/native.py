@@ -1,12 +1,15 @@
-"""The native sift store: χ's exploration in C, under the Python pass loop.
+"""The native sift store: χ's exploration in C, a whole pass per call.
 
 A sift by a bare :class:`~repro.bdd.SizeProbe` of ``f`` explores on a
 private store that holds ``f`` alone (:mod:`repro.bdd.sifting`).
 :class:`NativeStore` is that store in C (``_sift_store.c``), in the
 canonical form of :class:`~repro.bdd.BddManager` with no handles and no
-caches, behind the few methods the unchanged pass loop calls on the
-store it explores; its size is a C walk of ``f``'s edges, exactly
-``Function.size()``.  Every sifting decision stays in Python.
+caches; its size is a C walk of ``f``'s edges, exactly
+``Function.size()``.  :meth:`NativeStore.sift_pass` runs one sifting
+pass in one C call, with the decisions of the Python pass loop
+(``sifting._sift_pass``), which stays the oracle; the swap, size,
+checkpoint and rollback methods below drive the same C operations one
+at a time, for the tests that compare them with the Python store.
 
 :func:`build_and_load` compiles a C source once with the local ``cc``
 and loads it through :mod:`ctypes`.  The first native sift of a process
@@ -21,8 +24,10 @@ import hashlib
 import os
 import re
 import tempfile
+from array import array
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 SIFT_SOURCE = Path(__file__).with_name("_sift_store.c")
 COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC")
@@ -47,13 +52,9 @@ def build_and_load(source: Path) -> Any:
     """
     import ctypes
     import subprocess
-    import sysconfig
 
-    key = hashlib.sha256(
-        source.read_bytes() + sysconfig.get_platform().encode()
-    ).hexdigest()
-    directory = source.parent / "__pycache__"
-    target = directory / f"{source.stem}.{key[:16]}.so"
+    target = _object_path(source)
+    directory = target.parent
     if not target.exists():
         directory.mkdir(exist_ok=True)
         fd, partial = tempfile.mkstemp(
@@ -75,6 +76,16 @@ def build_and_load(source: Path) -> Any:
     return ctypes.PyDLL(str(target))
 
 
+def _object_path(source: Path) -> Path:
+    """Where :func:`build_and_load` keeps ``source``'s shared object."""
+    import sysconfig
+
+    key = hashlib.sha256(
+        source.read_bytes() + sysconfig.get_platform().encode()
+    ).hexdigest()
+    return source.parent / "__pycache__" / f"{source.stem}.{key[:16]}.so"
+
+
 def _remove_stale(target: Path, stem: str) -> None:
     """Remove the ``<stem>.<key>.so`` objects of keys other than ``target``'s.
 
@@ -88,11 +99,17 @@ def _remove_stale(target: Path, stem: str) -> None:
 
 
 def _declare(lib: Any) -> Any:
-    from ctypes import POINTER, c_int, c_void_p
+    """Declare the library's functions.  An ``int *`` is passed as the
+    address of an ``array("i")`` (:func:`_address`)."""
+    from ctypes import c_double, c_int, c_void_p
 
-    ints = POINTER(c_int)
+    ints = c_void_p
     for name, restype, argtypes in (
         ("ss_new", c_void_p, [c_int, c_int, ints, ints, ints, c_int]),
+        ("ss_sift_pass", c_int, [
+            c_void_p, c_void_p, ints, ints, c_int, ints, ints, ints, ints,
+            ints, ints, ints, c_double, ints, ints,
+        ]),
         ("ss_swap", c_int, [c_void_p, c_int, c_int]),
         ("ss_size", c_int, [c_void_p]),
         ("ss_live", c_int, [c_void_p]),
@@ -121,6 +138,12 @@ def sift_library() -> Any:
     return _sift_library
 
 
+def _address(values: Optional[array]) -> Optional[int]:
+    """Where an ``array("i")``'s items start, for an ``int *`` argument;
+    None is NULL.  The caller keeps the array alive across the call."""
+    return None if values is None else values.buffer_info()[0]
+
+
 def sift_engine() -> str:
     """``"native"`` or ``"python"``: which store a private sift explores on."""
     return "python" if sift_library() is None else "native"
@@ -129,19 +152,20 @@ def sift_engine() -> str:
 class NativeStore:
     """A function alone in a C store, with its manager's variables and order.
 
-    The part of :class:`~repro.bdd.BddManager` a sifting pass uses on the
-    store it explores.  The level maps and the swap and skip counters are
-    kept here; a swap of two variables not both in the function's support
+    The part of :class:`~repro.bdd.BddManager` a sift reads on the store it
+    explores.  The level maps and the swap and skip counters are kept
+    here; a swap of two variables not both in the function's support
     takes the interaction fast path, as on the Python private store, whose
     only non-constant root is the function.  Its ITE counters are the
-    manager's at the copy (sifting runs no ITE).
+    manager's at the copy (sifting runs no ITE).  The C store keeps, across
+    the passes of one sift, the order each block's last sift left it in
+    place from.
     """
 
     def __init__(self, lib: Any, f: Any) -> None:
         global live_objects
-        from ctypes import c_int
-
         self._ptr = None
+        self._buffer: Optional[_NativeCheckpoint] = None
         manager = f.manager
         var_arr, lo_arr, hi_arr = manager._var, manager._lo, manager._hi
         nodes: Set[int] = set()
@@ -157,20 +181,22 @@ class NativeStore:
         slot = {0: 0}
         for i, nid in enumerate(packed, 1):
             slot[nid] = i
-        variables = [var_arr[n] for n in packed]
-        los = [slot[lo_arr[n] >> 1] << 1 | lo_arr[n] & 1 for n in packed]
-        his = [slot[hi_arr[n] >> 1] << 1 for n in packed]
-        array = c_int * len(packed)
+        variables = array("i", [var_arr[n] for n in packed])
+        los = array(
+            "i", [slot[lo_arr[n] >> 1] << 1 | lo_arr[n] & 1 for n in packed]
+        )
+        his = array("i", [slot[hi_arr[n] >> 1] << 1 for n in packed])
         self._lib = lib
         self._swap, self._size, self._live = lib.ss_swap, lib.ss_size, lib.ss_live
         self._support = frozenset(variables)
-        self._level_of_var = level_of[:]
-        self._var_at_level = manager._var_at_level[:]
+        # Arrays, so that a pass in C updates them in place.
+        self._level_of_var = array("i", level_of)
+        self._var_at_level = array("i", manager._var_at_level)
         self.swap_count, self.swap_skips = manager.swap_count, manager.swap_skips
         self.ite_hits, self.ite_misses = manager.ite_hits, manager.ite_misses
         self._ptr = lib.ss_new(
-            manager.num_vars, len(packed), array(*variables), array(*los),
-            array(*his), slot[f.id >> 1] << 1 | f.id & 1,
+            manager.num_vars, len(packed), _address(variables), _address(los),
+            _address(his), slot[f.id >> 1] << 1 | f.id & 1,
         )
         if not self._ptr:
             raise MemoryError("native sift store")
@@ -191,14 +217,10 @@ class NativeStore:
         return self._level_of_var[var]
 
     def current_order(self) -> list:
-        return list(self._var_at_level)
+        return self._var_at_level.tolist()
 
     def _roots_held(self) -> contextlib.AbstractContextManager:
         return contextlib.nullcontext()
-
-    def collect(self) -> int:
-        """Nothing to collect: a node is freed when its count drops to zero."""
-        return 0
 
     def size(self) -> int:
         """The function's semantic size, exactly ``Function.size()``."""
@@ -243,12 +265,68 @@ class NativeStore:
             self._level_of_var = cp.level_of_var[:]
             self._var_at_level = cp.var_at_level[:]
 
+    def sift_pass(
+        self,
+        blocks: Sequence[Sequence[int]],
+        schedule: Sequence[int],
+        relations: Optional[Sequence[array]],
+        max_growth: float,
+        sampled: bool,
+    ) -> List[Tuple[int, int, Dict[str, int]]]:
+        """One sifting pass in one C call (``ss_sift_pass``).
+
+        ``blocks`` is the layout, each block's variables top to bottom, and
+        ``schedule`` the indices of the blocks in the order they are
+        sifted.  ``relations`` bounds them: for each variable, those that
+        must stay above it, then those that must stay below it, packed by
+        :meth:`~repro.bdd.sifting.PrecedenceConstraints._packed`; None
+        bounds nothing.  The level maps and counters follow the swaps made.
+        Returns, when ``sampled``, the ``(size, swaps, counters)`` a profile
+        samples after each block the Python pass samples.
+        """
+        flat = array("i", chain.from_iterable(blocks))
+        first = array("i", accumulate(map(len, blocks), initial=0))
+        if relations is None:
+            relations = (None,) * 4
+        if self._buffer is None:
+            self._buffer = self._checkpoint()  # every block's is taken into it
+        schedule = array("i", schedule)
+        counts = array("i", (0, 0))
+        samples = array("i", (0,)) * (4 * len(blocks)) if sampled else None
+        taken = self._lib.ss_sift_pass(
+            self._ptr, self._buffer._ptr, _address(self._var_at_level),
+            _address(self._level_of_var), len(blocks), _address(first),
+            _address(flat), _address(schedule), *map(_address, relations),
+            max_growth, _address(counts), _address(samples),
+        )
+        swaps, skips = self.swap_count, self.swap_skips
+        self.swap_count += counts[0]
+        self.swap_skips += counts[1]
+        if taken < 0:
+            raise MemoryError("native sift store")
+        return [
+            (
+                samples[k],
+                swaps + samples[k + 1],
+                self._counters(
+                    swaps + samples[k + 1], skips + samples[k + 2],
+                    samples[k + 3],
+                ),
+            )
+            for k in range(0, 4 * taken, 4)
+        ]
+
     def counters(self) -> Dict[str, int]:
         """The :meth:`BddManager.counters` a sift profile samples."""
+        return self._counters(
+            self.swap_count, self.swap_skips, self.live_node_count()
+        )
+
+    def _counters(self, swaps: int, skips: int, live: int) -> Dict[str, int]:
         return {
-            "swaps": self.swap_count,
-            "swap_skips": self.swap_skips,
-            "live_nodes": self.live_node_count(),
+            "swaps": swaps,
+            "swap_skips": skips,
+            "live_nodes": live,
             "ite_cache_hits": self.ite_hits,
             "ite_cache_misses": self.ite_misses,
         }

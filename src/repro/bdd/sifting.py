@@ -63,10 +63,14 @@ on positions not yet measured:
   counters take over the private ones, so they count every swap made;
 * **native store** — that private store is C (:mod:`repro.bdd.native`)
   whenever the local ``cc`` builds it: the same canonical form, with no
-  caches and no handles, so its swaps, size reads, checkpoints and
-  rollbacks are C calls, and a size read is a walk of ``f``'s edges.
-  The pass loop below drives it unchanged, so every decision is taken
-  here, once; without a compiler the Python copy runs instead.
+  caches and no handles, and a size read is a walk of ``f``'s edges.  A
+  pass on it is one C call, ``ss_sift_pass``, handed the block layout,
+  the schedule ranked here, the packed precedence constraints and
+  ``max_growth``; it takes the decisions of :func:`_sift_pass` with the
+  same swaps and skips, keeps the clean blocks' orders across the passes
+  of one sift, and returns the samples a profile takes.  :func:`_sift_pass`
+  stays the oracle the tests hold the C pass to, and the engine of the
+  Python copy, which runs without a compiler, and of in-place sifts.
 
 The final orders, returned orders and sizes are those of the return-trip
 engine, which swaps through every leg (kept as the reference in the test
@@ -75,6 +79,8 @@ suite); only the swap count falls.
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
     Tuple,
@@ -112,6 +118,18 @@ class PrecedenceConstraints:
 
     def must_stay_below(self, var: int) -> Set[int]:
         return self._below.get(var, set())
+
+    def _packed(self, num_vars: int) -> List[array]:
+        """The must-stay-above, then the must-stay-below relation of
+        ``num_vars`` variables, each as two ``array("i")``, ``first`` and
+        ``flat``: var v's related variables are ``flat[first[v]:first[v + 1]]``.
+        """
+        tables = []
+        for relation in (self._above, self._below):
+            related = [relation.get(var, ()) for var in range(num_vars)]
+            tables.append(array("i", accumulate(map(len, related), initial=0)))
+            tables.append(array("i", chain.from_iterable(related)))
+        return tables
 
     def is_satisfied(self, manager: BddManager) -> bool:
         for after, aboves in self._above.items():
@@ -295,10 +313,15 @@ def _pass(
             manager, constraints, groups, max_growth, metric, profile, clean,
             counts,
         )
-    store.collect()
-    size = _sift_pass(
-        store, constraints, groups, max_growth, metric, profile, clean, counts
-    )
+    if isinstance(store, native.NativeStore):
+        _native_pass(store, constraints, groups, max_growth, profile, counts)
+        size = metric()
+    else:
+        store.collect()
+        size = _sift_pass(
+            store, constraints, groups, max_growth, metric, profile, clean,
+            counts,
+        )
     manager.swap_count, manager.swap_skips = store.swap_count, store.swap_skips
     order = store.current_order()
     if order != manager.current_order():
@@ -306,6 +329,39 @@ def _pass(
             move_var_to_level(manager, var, level)
         store.swap_count = manager.swap_count
     return size
+
+
+def _native_pass(
+    store: native.NativeStore,
+    constraints: Optional[PrecedenceConstraints],
+    groups: Optional[Sequence[Sequence[int]]],
+    max_growth: float,
+    profile,
+    counts: List[int],
+) -> None:
+    """:func:`_sift_pass` in one C call on the native store.
+
+    The blocks, their schedule by ``counts`` and every decision are
+    :func:`_sift_pass`'s; the store keeps the clean blocks' orders.  The
+    samples taken in C are replayed into ``profile``.
+    """
+    blocks = _block_list(store, groups)
+    # The populations, largest first; a stable sort keeps equal ones in
+    # layout order, as _sift_pass's does.
+    population = [sum(map(counts.__getitem__, block)) for block in blocks]
+    schedule = sorted(
+        range(len(blocks)), key=population.__getitem__, reverse=True
+    )
+    relations = None
+    if constraints is not None:
+        relations = constraints._packed(store.num_vars)
+    samples = store.sift_pass(
+        blocks, schedule, relations, max_growth, profile is not None
+    )
+    for size, swaps, counters in samples:
+        profile.sample("block", size, swaps, counters)
+    if constraints is not None:
+        assert constraints.is_satisfied(store), "sifting violated constraints"
 
 
 def _sift_pass(

@@ -17,6 +17,7 @@ hardware.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Set, Tuple
 
 from ..cfsm.expr import BINARY_OPS, UNARY_OPS
@@ -47,7 +48,7 @@ def _measure(
 
 # Calibration replays every benchmark sequence on the simulated machine —
 # hundreds of runs — yet is a pure function of the profile's tables, so the
-# result is memoized per profile content.  Callers get a deep copy: the
+# result is memoized per profile content.  Callers get a private copy: the
 # historical contract lets experiments mutate their CostParams freely.
 _CALIBRATION_MEMO: Dict[Tuple, CostParams] = {}
 
@@ -71,13 +72,19 @@ def calibrate(profile: ISAProfile) -> CostParams:
     Memoized on the profile's content (the bundled K11/K32 profiles hit the
     memo after their first calibration); every call returns a private copy.
     """
-    import copy
-
     key = _profile_memo_key(profile)
     cached = _CALIBRATION_MEMO.get(key)
     if cached is None:
         _CALIBRATION_MEMO[key] = cached = _calibrate_uncached(profile)
-    return copy.deepcopy(cached)
+    # Field by field: the parameter groups hold scalars only.
+    return dataclasses.replace(
+        cached,
+        timing=dataclasses.replace(cached.timing),
+        size=dataclasses.replace(cached.size),
+        system=dataclasses.replace(cached.system),
+        lib_time=dict(cached.lib_time),
+        lib_size=dict(cached.lib_size),
+    )
 
 
 def calibrate_cache_clear() -> None:

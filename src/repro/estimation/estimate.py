@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..bdd import Function
-from ..cfsm.expr import Expr
+from ..cfsm.expr import BinOp, Cond, Const, Expr, UnOp
 from ..cfsm.machine import AssignState, Emit, ExprTest, PresenceTest
 from ..sgraph import ASSIGN, BEGIN, END, SGraph, TEST
 from ..synthesis.encoding import FireFlag, ReactiveEncoding
@@ -78,10 +78,8 @@ def _wrap_cost(action: AssignState, params: CostParams) -> Tuple[float, float]:
     Mirrors the compiler: constants in domain fold away, power-of-two
     domains mask, others pay a Euclidean double-modulo.
     """
-    from ..cfsm.expr import Const as _Const
-
     n = action.var.num_values
-    if isinstance(action.value, _Const) and 0 <= action.value.value < n:
+    if isinstance(action.value, Const) and 0 <= action.value.value < n:
         return 0.0, 0.0
     t, s = params.timing, params.size
     if n & (n - 1) == 0:
@@ -100,8 +98,6 @@ def _wrap_cost(action: AssignState, params: CostParams) -> Tuple[float, float]:
 
 
 def _const_leaves(expr: Expr) -> int:
-    from ..cfsm.expr import BinOp, Cond, Const, UnOp
-
     if isinstance(expr, Const):
         return 1
     if isinstance(expr, BinOp):
@@ -117,7 +113,9 @@ def _const_leaves(expr: Expr) -> int:
     return 0
 
 
-def _label_guard_cost(label: Function, params: CostParams, encoding: ReactiveEncoding) -> Tuple[float, float]:
+def _label_guard_cost(
+    label: Function, params: CostParams, var_cost: _VarCost
+) -> Tuple[float, float]:
     """(cycles, bytes) of evaluating a non-constant ASSIGN label BDD."""
     seen = set()
     stack = [label.id]
@@ -135,7 +133,7 @@ def _label_guard_cost(label: Function, params: CostParams, encoding: ReactiveEnc
             continue
         nodes += 1
         var = fn.var
-        cycles_here, size_here = _input_var_cost(var, params, encoding)
+        cycles_here, size_here = var_cost(var)
         cycles += cycles_here + params.timing.t_test_true
         size += size_here + params.size.s_test
         stack.append(fn.low.id)
@@ -152,6 +150,22 @@ def _input_var_cost(var: int, params: CostParams, encoding: ReactiveEncoding) ->
     if isinstance(test, ExprTest):
         return expr_time(test.expr, params), expr_size(test.expr, params) + params.size.s_test
     return params.timing.t_testbit, params.size.s_testbit + params.size.s_test
+
+
+_VarCost = Callable[[int], Tuple[float, float]]
+
+
+def _var_costs(params: CostParams, encoding: ReactiveEncoding) -> _VarCost:
+    """:func:`_input_var_cost`, computed once per variable of one call."""
+    costs: Dict[int, Tuple[float, float]] = {}
+
+    def var_cost(var: int) -> Tuple[float, float]:
+        cost = costs.get(var)
+        if cost is None:
+            cost = costs[var] = _input_var_cost(var, params, encoding)
+        return cost
+
+    return var_cost
 
 
 def _n_copies(
@@ -176,6 +190,21 @@ def edge_cost_graph(
     static verifier can recompute the Table-I bounds with an independent
     path algorithm over the *same* per-edge cost model.
     """
+    return _priced_edges(
+        sg, encoding, params, exclude_infeasible, copy_vars,
+        _var_costs(params, encoding),
+    )
+
+
+def _priced_edges(
+    sg: SGraph,
+    encoding: ReactiveEncoding,
+    params: CostParams,
+    exclude_infeasible: bool,
+    copy_vars: Optional[Set[str]],
+    var_cost: _VarCost,
+) -> Tuple[Dict[int, List[Tuple[int, float]]], float, float]:
+    """:func:`edge_cost_graph`, pricing variables by ``var_cost``."""
     reach = sg.reachable()
     parents = _parent_counts(sg, reach)
     edges: Dict[int, List[Tuple[int, float]]] = {vid: [] for vid in reach}
@@ -189,7 +218,7 @@ def edge_cost_graph(
                 and vertex.infeasible[index]
             ):
                 continue
-            cost = _edge_time(vertex, index, params, encoding)
+            cost = _edge_time(vertex, index, params, encoding, var_cost)
             # Shared targets need a branch to reach (layout approximation);
             # switch-table entries already encode their target.
             if parents.get(child, 0) > 1 and not vertex.is_switch:
@@ -227,18 +256,19 @@ def estimate(
     n_copies = _n_copies(encoding, copy_vars)
     reach = sg.reachable()
     parents = _parent_counts(sg, reach)
+    var_cost = _var_costs(params, encoding)
 
     # ----- code size: sum over vertices ---------------------------------
     size = 0.0
     for vid in reach:
         vertex = sg.vertex(vid)
-        size += _vertex_size(vertex, params, encoding, n_copies)
+        size += _vertex_size(vertex, params, encoding, n_copies, var_cost)
         # Linearization: each extra parent of a shared vertex costs a goto.
         if parents.get(vid, 0) > 1:
             size += (parents[vid] - 1) * params.size.s_goto
 
-    edges, begin_cost, end_cost = edge_cost_graph(
-        sg, encoding, params, exclude_infeasible, copy_vars
+    edges, begin_cost, end_cost = _priced_edges(
+        sg, encoding, params, exclude_infeasible, copy_vars, var_cost
     )
 
     min_cycles = _dijkstra(sg, edges, begin_cost, end_cost)
@@ -251,7 +281,11 @@ def estimate(
 
 
 def _vertex_size(
-    vertex, params: CostParams, encoding: ReactiveEncoding, n_copies: int
+    vertex,
+    params: CostParams,
+    encoding: ReactiveEncoding,
+    n_copies: int,
+    var_cost: _VarCost,
 ) -> float:
     t, s = params.timing, params.size
     if vertex.kind == BEGIN:
@@ -263,16 +297,16 @@ def _vertex_size(
         if collapsed is not None:
             total = 0.0
             for pred in collapsed:
-                total += _label_guard_cost(pred, params, encoding)[1]
+                total += _label_guard_cost(pred, params, var_cost)[1]
             return total
         if vertex.is_switch:
             return s.s_switch_base + len(vertex.children) * s.s_switch_edge
-        return _input_var_cost(vertex.var, params, encoding)[1]
+        return var_cost(vertex.var)[1]
     # ASSIGN
     action = encoding.action_of_var(vertex.var)
     base = 0.0
     if vertex.label is not None and not vertex.label.is_constant:
-        base += _label_guard_cost(vertex.label, params, encoding)[1]
+        base += _label_guard_cost(vertex.label, params, var_cost)[1]
     if isinstance(action, Emit):
         if action.event.is_pure:
             return base + s.s_emit_pure
@@ -289,7 +323,13 @@ def _vertex_size(
     raise TypeError(f"unknown action {action!r}")  # pragma: no cover
 
 
-def _edge_time(vertex, index: int, params: CostParams, encoding: ReactiveEncoding) -> float:
+def _edge_time(
+    vertex,
+    index: int,
+    params: CostParams,
+    encoding: ReactiveEncoding,
+    var_cost: _VarCost,
+) -> float:
     t = params.timing
     if vertex.kind == BEGIN:
         return 0.0
@@ -299,11 +339,11 @@ def _edge_time(vertex, index: int, params: CostParams, encoding: ReactiveEncodin
             # If-cascade: reaching branch i evaluates predicates 0..i.
             cost = 0.0
             for pred in collapsed[: index + 1]:
-                cost += _label_guard_cost(pred, params, encoding)[0] + t.t_test_true
+                cost += _label_guard_cost(pred, params, var_cost)[0] + t.t_test_true
             return cost
         if vertex.is_switch:
             return t.t_switch_base + index * t.t_switch_edge
-        body, _ = _input_var_cost(vertex.var, params, encoding)
+        body, _ = var_cost(vertex.var)
         test = encoding.test_of_var(vertex.var)
         if isinstance(test, PresenceTest):
             return t.t_detect_true if index == 1 else t.t_detect_false
@@ -313,7 +353,7 @@ def _edge_time(vertex, index: int, params: CostParams, encoding: ReactiveEncodin
     action = encoding.action_of_var(vertex.var)
     base = 0.0
     if vertex.label is not None and not vertex.label.is_constant:
-        base += _label_guard_cost(vertex.label, params, encoding)[0]
+        base += _label_guard_cost(vertex.label, params, var_cost)[0]
     if isinstance(action, Emit):
         if action.event.is_pure:
             return base + t.t_emit_pure

@@ -68,6 +68,33 @@ __all__ = [
 
 SCHEMES = ("naive", "sift", "sift-strict", "outputs-first", "mixed")
 
+#: The most condition evaluations ``reachability_dontcares`` explores for.
+_MAX_EXPLORATION_WORK = 65_536
+#: ``ReachabilityAnalysis``'s default ``value_enum_limit``: beyond this many
+#: valuations of the valued inputs it havocs them instead.
+_VALUE_ENUM_LIMIT = 1024
+
+
+def _exploration_work(cfsm: Cfsm) -> int:
+    """The condition evaluations exploring ``cfsm``'s whole state space takes.
+
+    :class:`repro.verify.ReachabilityAnalysis` evaluates every condition
+    for each state, each non-empty set of present inputs and each sample of
+    the valued inputs' values: all of them, or one when there are more
+    than it enumerates and it havocs instead.
+    """
+    space = 1
+    for var in cfsm.state_vars:
+        space *= var.num_values
+    samples = 1
+    for event in cfsm.inputs:
+        if event.is_valued:
+            samples <<= event.width
+            if samples > _VALUE_ENUM_LIMIT:
+                samples = 1
+                break
+    return space * ((1 << len(cfsm.inputs)) - 1) * samples
+
 
 @dataclass
 class SynthesisResult:
@@ -111,19 +138,21 @@ def synthesize(
     (the Sec. V-B extension) so code generation copies only the state
     variables that actually need buffering.  ``reachability_dontcares=True``
     explores the CFSM's state space first and treats unreachable state
-    codes as don't-cares — classical sequential-synthesis flexibility.
+    codes as don't-cares — classical sequential-synthesis flexibility —
+    when the exploration takes at most 65,536 condition evaluations
+    (:func:`_exploration_work`); larger ones are skipped.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     reachable = None
-    if reachability_dontcares and cfsm.state_vars:
-        space = 1
-        for var in cfsm.state_vars:
-            space *= var.num_values
-        if space <= 4096:  # exploration is cheap only for small spaces
-            from ..verify import ReachabilityAnalysis
+    if (
+        reachability_dontcares
+        and cfsm.state_vars
+        and _exploration_work(cfsm) <= _MAX_EXPLORATION_WORK
+    ):
+        from ..verify import ReachabilityAnalysis
 
-            reachable = ReachabilityAnalysis(cfsm).reachable_states
+        reachable = ReachabilityAnalysis(cfsm).reachable_states
     rf = synthesize_reactive(
         cfsm,
         fold_state_tests=fold_state_tests,

@@ -150,6 +150,10 @@ def build_sgraph(
         unprotect = manager.unprotect
         for edge in protected:
             unprotect(edge)
+        # rec refers to itself through its closure; break the cycle so the
+        # manager it reaches is freed by reference counting, not left to
+        # the cyclic collector.
+        del rec
     sg.set_begin(root)
     return sg
 

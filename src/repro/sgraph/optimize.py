@@ -84,36 +84,6 @@ def merge_multiway(
         for index, var in enumerate(mvar.bits):
             bit_owner[var] = (name, index)
 
-    def subtree_leaf(vid: int, name: str, bit_index: int, num_bits: int, code: int) -> Optional[List[Tuple[int, int]]]:
-        """Leaves (code, vertex) for codes extending ``code`` from bit_index on.
-
-        Returns None if the subtree mixes in foreign tests before exhausting
-        the state bits (merge not applicable there).
-        """
-        if bit_index == num_bits:
-            return [(code, vid)]
-        vertex = sg.vertex(vid)
-        here = bit_owner.get(vertex.var) if vertex.kind == TEST and not vertex.is_switch else None
-        if here is not None and here[0] == name and here[1] == bit_index:
-            lo = subtree_leaf(vertex.children[0], name, bit_index + 1, num_bits, code << 1)
-            hi = subtree_leaf(vertex.children[1], name, bit_index + 1, num_bits, (code << 1) | 1)
-            if lo is None or hi is None:
-                return None
-            return lo + hi
-        if here is not None and here[0] == name and here[1] > bit_index:
-            # This bit was skipped (BDD reduction): both values share subtree.
-            lo = subtree_leaf(vid, name, bit_index + 1, num_bits, code << 1)
-            hi = subtree_leaf(vid, name, bit_index + 1, num_bits, (code << 1) | 1)
-            if lo is None or hi is None:
-                return None
-            return lo + hi
-        # Foreign vertex: the remaining bits are don't-cares here — treat the
-        # whole remainder as shared (duplicate the leaf across codes).
-        leaves = []
-        for suffix in range(1 << (num_bits - bit_index)):
-            leaves.append(((code << (num_bits - bit_index)) | suffix, vid))
-        return leaves
-
     changed = True
     while changed:
         changed = False
@@ -128,7 +98,7 @@ def merge_multiway(
             mvar = encoding.state_mvars[name]
             if mvar.num_bits < 2:
                 continue  # a 1-bit switch is just an if
-            leaves = subtree_leaf(vid, name, 0, mvar.num_bits, 0)
+            leaves = _subtree_leaf(sg, bit_owner, vid, name, 0, mvar.num_bits, 0)
             if leaves is None:
                 continue
             children = [sg.end] * (1 << mvar.num_bits)
@@ -147,6 +117,46 @@ def merge_multiway(
     if created:
         sg.drop_unreachable()
     return created
+
+
+def _subtree_leaf(
+    sg: SGraph,
+    bit_owner: Dict[int, Tuple[str, int]],
+    vid: int,
+    name: str,
+    bit_index: int,
+    num_bits: int,
+    code: int,
+) -> Optional[List[Tuple[int, int]]]:
+    """Leaves (code, vertex) for codes extending ``code`` from bit_index on.
+
+    Returns None if the subtree mixes in foreign tests before exhausting
+    the state bits (merge not applicable there).  ``bit_owner`` maps each
+    state bit variable to its (state variable, bit index).
+    """
+    if bit_index == num_bits:
+        return [(code, vid)]
+    vertex = sg.vertex(vid)
+    here = bit_owner.get(vertex.var) if vertex.kind == TEST and not vertex.is_switch else None
+    if here is not None and here[0] == name and here[1] == bit_index:
+        lo = _subtree_leaf(sg, bit_owner, vertex.children[0], name, bit_index + 1, num_bits, code << 1)
+        hi = _subtree_leaf(sg, bit_owner, vertex.children[1], name, bit_index + 1, num_bits, (code << 1) | 1)
+        if lo is None or hi is None:
+            return None
+        return lo + hi
+    if here is not None and here[0] == name and here[1] > bit_index:
+        # This bit was skipped (BDD reduction): both values share subtree.
+        lo = _subtree_leaf(sg, bit_owner, vid, name, bit_index + 1, num_bits, code << 1)
+        hi = _subtree_leaf(sg, bit_owner, vid, name, bit_index + 1, num_bits, (code << 1) | 1)
+        if lo is None or hi is None:
+            return None
+        return lo + hi
+    # Foreign vertex: the remaining bits are don't-cares here — treat the
+    # whole remainder as shared (duplicate the leaf across codes).
+    leaves = []
+    for suffix in range(1 << (num_bits - bit_index)):
+        leaves.append(((code << (num_bits - bit_index)) | suffix, vid))
+    return leaves
 
 
 def _redirect(sg: SGraph, old: int, new: int) -> None:

@@ -1,24 +1,34 @@
 """The native sift store reads what the Python private store reads.
 
-:class:`repro.bdd.native.NativeStore` holds one function in C and is
-driven through the methods a sifting pass calls on the store it explores.
-Under any sequence of swaps, checkpoints and rollbacks it must read the
-sizes, live-node counts, orders and interaction fast-path skips of the
-Python private store (``BddManager._copy_function``) driven the same way,
-and sifting on either store must take the same decisions, profile the
-same timeline and leave the shared manager with the same counters.
+:class:`repro.bdd.native.NativeStore` holds one function in C.  Driven
+one operation at a time, under any sequence of swaps, checkpoints and
+rollbacks, it must read the sizes, live-node counts, orders and
+interaction fast-path skips of the Python private store
+(``BddManager._copy_function``) driven the same way.  Those operations are
+what its C sifting pass (``ss_sift_pass``) is built from, and sifting on
+either store, the C pass against the Python pass loop, must take the same
+decisions, profile the same timeline and leave the shared manager with the
+same counters.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager, SizeProbe, native
+from repro.bdd import BddManager, SizeProbe, native, sift, sift_to_convergence
 from repro.frontend import compile_source
 from repro.obs import SiftProfile
 from repro.sgraph import sifted_order
 from repro.synthesis import synthesize_reactive
 
-from .sift_reference import EXAMPLES, REPO, engine
+from .sift_reference import (
+    ENGINES,
+    EXAMPLES,
+    REPO,
+    build_cold_machine,
+    engine,
+    example_machine,
+    fuzz_machine,
+)
 from .test_property import N_VARS, boolexprs, build_bdd
 
 pytestmark = pytest.mark.skipif(
@@ -184,3 +194,95 @@ def test_native_stores_and_checkpoints_are_freed():
     live = [n for outcome in outcomes for n in outcome["profile"].live]
     assert max(live) >= before + 2  # a store and a block's checkpoint
     assert native.live_objects == before
+
+
+# -- the paths the example sifts above do not take ----------------------------
+
+#: The examples whose encodings tie variables into groups.
+GROUPED = ("wheel_filter", "speedo", "odometer", "tacho", "belt_alarm", "diagnostics")
+
+
+def on_both_engines(run):
+    """``run()`` on each engine: the outcomes must be equal and every
+    native store and checkpoint freed."""
+    outcomes = []
+    for name in ENGINES:
+        with engine(name):
+            outcomes.append(run())
+    assert outcomes[0] == outcomes[1]
+    assert native.live_objects == 0
+    return outcomes[0]
+
+
+def sift_outcome(rf, sifter, strict, profile, **options):
+    """Sift ``rf``'s χ with ``sifter``; what it did."""
+    manager = rf.manager
+    size = sifter(
+        manager,
+        constraints=rf.strict_constraints() if strict else rf.support_constraints(),
+        groups=rf.encoding.sifting_groups(),
+        metric=SizeProbe(rf.chi),
+        profile=profile,
+        **options,
+    )
+    return {
+        "order": manager.current_order(),
+        "size": size,
+        "swaps": manager.swap_count,
+        "swap_skips": manager.swap_skips,
+        "timeline": None if profile is None else profile.timeline(),
+        "counters": manager.counters(),
+    }
+
+
+def test_one_pass_sifts_alike():
+    """``sift()``: one pass on a store of its own, also under a tighter
+    growth bound, which ends more legs early."""
+    def run():
+        return [
+            sift_outcome(
+                synthesize_reactive(example_machine(name)), sift, strict,
+                SiftProfile(), max_growth=max_growth,
+            )
+            for name in GROUPED
+            for strict in (False, True)
+            for max_growth in (2.0, 1.05)
+        ]
+
+    outcomes = on_both_engines(run)
+    assert sum(o["swaps"] for o in outcomes) > 0
+    assert any(len(o["timeline"]) > 1 for o in outcomes)
+
+
+def test_strict_constraints_with_groups_sift_alike():
+    """``sift-strict`` keeps every output below every input while groups of
+    two and three variables move as units."""
+    machines = [fuzz_machine(i) for i in (29, 42, 85, 184, 253)]
+    machines += [build_cold_machine(i) for i in (2, 23, 29, 63)]
+
+    def run():
+        return [
+            sift_outcome(
+                synthesize_reactive(cfsm), sift_to_convergence, True,
+                SiftProfile(),
+            )
+            for cfsm in machines
+        ]
+
+    outcomes = on_both_engines(run)
+    assert all(o["swaps"] > 0 for o in outcomes)
+
+
+def test_unprofiled_sifts_alike():
+    """No profile: the C pass takes no samples."""
+    def run():
+        return [
+            sift_outcome(
+                synthesize_reactive(example_machine(name)),
+                sift_to_convergence, strict, None,
+            )
+            for name in EXAMPLES
+            for strict in (False, True)
+        ]
+
+    on_both_engines(run)

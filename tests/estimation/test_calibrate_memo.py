@@ -42,6 +42,11 @@ def test_memoized_result_is_a_private_copy():
     # A caller mutating its copy must not poison later calls.
     a.timing.t_frame += 1000
     assert calibrate(K11).timing.t_frame == b.timing.t_frame
+    a.size.s_frame += 1000
+    a.system.pointer_size += 1000
+    a.lib_time["ADD"] += 1000
+    a.lib_size["ADD"] += 1000
+    assert calibrate(K11) == b
 
 
 def test_distinct_profiles_memoize_separately():

@@ -157,3 +157,37 @@ class TestEvaluate:
     def test_unknown_scheme_rejected(self, simple_cfsm):
         with pytest.raises(ValueError):
             synthesize(simple_cfsm, scheme="quantum")
+
+
+def test_synthesis_leaves_no_manager_alive(monkeypatch, dashboard_net, shock_net):
+    """Every manager a synthesis makes is freed when its result is dropped,
+    without the cyclic collector: no recursive closure of the builder or
+    of the multiway merge holds it in a cycle."""
+    import gc
+    import weakref
+
+    from repro.apps import abp_network
+    from repro.bdd import BddManager
+
+    made = []
+    init = BddManager.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(BddManager, "__init__", recording_init)
+    machines = [
+        m for net in (dashboard_net, shock_net, abp_network()) for m in net.machines
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for machine in machines:
+            for scheme in SCHEMES:
+                synthesize(machine, scheme=scheme)
+        alive = [ref for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(made) == 17 * len(SCHEMES)
+    assert alive == []

@@ -86,15 +86,51 @@ class TestGuards:
         )
         assert slim.code_size <= base.code_size + 4  # never meaningfully worse
 
-    def test_huge_state_space_skipped(self, shock_net):
-        """damping_logic's 16k-state space must be skipped, not explored."""
-        import time
+    def test_huge_state_space_skipped(self, shock_net, monkeypatch):
+        """Explorations past 65,536 condition evaluations are skipped.
 
-        machine = shock_net.machine("damping_logic")
-        start = time.perf_counter()
-        result = synthesize(machine, reachability_dontcares=True)
-        assert time.perf_counter() - start < 10.0
-        assert result.sgraph is not None
+        damping_logic has 16,384 states; road_classifier and abp_sender
+        have 1,024 each but try 256 and 3,584 input combinations a state.
+        """
+        import repro.verify
+        from repro.apps import abp_network
+
+        skipped = ("damping_logic", "road_classifier", "abp_sender")
+        real = repro.verify.ReachabilityAnalysis
+
+        def analysis(cfsm, *args, **kwargs):
+            assert cfsm.name not in skipped, f"{cfsm.name} was explored"
+            return real(cfsm, *args, **kwargs)
+
+        monkeypatch.setattr(repro.verify, "ReachabilityAnalysis", analysis)
+        machines = [shock_net.machine(name) for name in skipped[:2]]
+        machines.append(abp_network().machine("abp_sender"))
+        for machine in machines:
+            result = synthesize(machine, reachability_dontcares=True)
+            assert result.sgraph is not None
+
+    def test_work_counts_what_the_analysis_evaluates(
+        self, dashboard_net, shock_net
+    ):
+        """The gate's figure: states x present-input sets x value samples."""
+        from repro.sgraph import _MAX_EXPLORATION_WORK, _exploration_work
+        from repro.verify import ReachabilityAnalysis
+
+        works = {}
+        for net in (dashboard_net, shock_net):
+            for machine in net.machines:
+                analysis = ReachabilityAnalysis(machine)
+                space = 1
+                for var in machine.state_vars:
+                    space *= var.num_values
+                combos = (1 << len(machine.inputs)) - 1
+                samples = len(analysis._value_samples()) or 1  # havoc: one
+                works[machine.name] = _exploration_work(machine)
+                assert works[machine.name] == space * combos * samples
+        assert works["accel_filter"] == works["speed_gauge"] == 65_536
+        assert _MAX_EXPLORATION_WORK == 65_536
+        assert works["road_classifier"] == 262_144
+        assert works["damping_logic"] == 114_688
 
     def test_stateless_machine_skipped(self):
         b = CfsmBuilder("stateless")

@@ -54,9 +54,11 @@ from ..bdd.sift_reference import (
 from ..sgraph.test_reachability_dontcares import make_sparse_cycle
 
 # Example modules whose state space ``ReachabilityAnalysis`` explores in
-# well under a second (speed_gauge, rpm_gauge, fuel_gauge and accel_filter
-# take 1-2 s, road_classifier 8 s and abp_sender 85 s; the other three
-# exceed the 4096-state bound ``repro.sgraph.synthesize`` explores).
+# well under a second.  speed_gauge, rpm_gauge, fuel_gauge and accel_filter
+# take 1-2 s, at exactly the 65,536 condition evaluations up to which
+# ``repro.sgraph.synthesize`` explores; damping_logic, road_classifier and
+# abp_sender take more and are not explored, and chan_frame and chan_ack
+# have no state.
 REACHABLE_EXAMPLES = (
     "wheel_filter", "speedo", "odometer", "tacho",
     "belt_alarm", "actuator", "diagnostics", "abp_receiver",
