@@ -41,6 +41,14 @@ pass's order.  The copy is the native C store whenever it builds, and
 alternating in the same process, so both see the same host;
 ``engine_speedup`` is their ratio.  Both must read the same counters.
 
+The ``kernel`` section times two steps on both BDD kernels:
+``reactive`` (below) and ``chi`` (the sift above, on the native store
+whenever it builds), each the best of ``BEST_OF`` runs alternating the
+native kernel and the Python manager in the same process, so both see
+the same host period.  ``wall_s`` is the native kernel's,
+``python_wall_s`` the Python manager's, and ``kernel_speedup`` their
+ratio; both kernels must read the same counters.
+
 The ``reactive`` section times the step before sifting,
 ``synthesize_reactive`` (care set, conditions, χ) over the 17 example
 modules, and reports its summed χ size, ITE cache misses and peak nodes;
@@ -384,6 +392,107 @@ def _chi_scenario():
     return scenario
 
 
+@contextlib.contextmanager
+def _kernel(name):
+    """Make managers on the ``"native"`` kernel or the ``"python"`` one."""
+    loaded = native.kernel_library()
+    native._kernel_library = loaded if name == "native" else None
+    try:
+        yield
+    finally:
+        native._kernel_library = loaded
+
+
+def _reactive_once(machines):
+    """One ``reactive`` run: its wall and its summed counters."""
+    from repro.synthesis import synthesize_reactive
+
+    chi_size = ite_misses = peak_nodes = 0
+    wall = 0.0
+    for machine in machines:
+        t0 = time.perf_counter()
+        rf = synthesize_reactive(machine)
+        chi = rf.chi
+        wall += time.perf_counter() - t0
+        chi_size += chi.size()
+        ite_misses += rf.manager.ite_misses
+        peak_nodes += rf.manager.peak_nodes
+    return wall, (chi_size, ite_misses, peak_nodes)
+
+
+def _chi_once(machine):
+    """One ``chi`` sift on a fresh reactive function: wall and counters."""
+    from repro.sgraph import sifted_order
+    from repro.synthesis import synthesize_reactive
+
+    rf = synthesize_reactive(machine)
+    manager = rf.manager
+    before = manager.swap_count, manager.swap_skips, manager.collect_count
+    t0 = time.perf_counter()
+    sifted_order(rf)
+    wall = time.perf_counter() - t0
+    return wall, (
+        manager.swap_count - before[0], manager.swap_skips - before[1],
+        manager.collect_count - before[2], rf.chi.size(),
+    )
+
+
+def _example_machines():
+    from repro.frontend import compile_source
+
+    return [
+        compile_source(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "examples" / "rsl").glob("*.rsl"))
+    ]
+
+
+def _kernel_scenario():
+    """``reactive`` and ``chi`` on both kernels, alternating in one process.
+
+    Each leg is the best of BEST_OF runs per kernel; the counters must be
+    the same in every run of either.
+    """
+    from repro.apps import shock_network
+
+    legs = {
+        "reactive": (_reactive_once, _example_machines()),
+        "chi": (_chi_once, shock_network().machine("damping_logic")),
+    }
+    report = {}
+    for leg, (once, arg) in legs.items():
+        walls = {name: [] for name in ("native", "python")}
+        counters = set()
+        for _ in range(BEST_OF):
+            for name in walls:
+                with _kernel(name):
+                    wall, seen = once(arg)
+                walls[name].append(wall)
+                counters.add(seen)
+        assert len(counters) == 1, f"the kernels' counters differ: {counters}"
+        report[leg] = {
+            "wall_s": round(min(walls["native"]), 4),
+            "python_wall_s": round(min(walls["python"]), 4),
+        }
+    return report
+
+
+def _median_kernel(runs):
+    """``_kernel_scenario`` ``runs`` times: the median of each wall."""
+    results = [_kernel_scenario() for _ in range(runs)]
+    report = {}
+    for leg in results[0]:
+        summary = {
+            field: round(statistics.median(r[leg][field] for r in results), 4)
+            for field in ("wall_s", "python_wall_s")
+        }
+        if summary["wall_s"] > 0:
+            summary["kernel_speedup"] = round(
+                summary["python_wall_s"] / summary["wall_s"], 2
+            )
+        report[leg] = summary
+    return report
+
+
 def _reactive_scenario():
     """``synthesize_reactive`` over the 17 example modules, fresh managers.
 
@@ -393,25 +502,10 @@ def _reactive_scenario():
     χ size, ITE cache misses and peak nodes are summed over the modules
     and equal in every run.
     """
-    from repro.frontend import compile_source
-    from repro.synthesis import synthesize_reactive
-
-    machines = [
-        compile_source(path.read_text(encoding="utf-8"))
-        for path in sorted((ROOT / "examples" / "rsl").glob("*.rsl"))
-    ]
+    machines = _example_machines()
     walls = []
     for _ in range(BEST_OF):
-        chi_size = ite_misses = peak_nodes = 0
-        wall = 0.0
-        for machine in machines:
-            t0 = time.perf_counter()
-            rf = synthesize_reactive(machine)
-            chi = rf.chi
-            wall += time.perf_counter() - t0
-            chi_size += chi.size()
-            ite_misses += rf.manager.ite_misses
-            peak_nodes += rf.manager.peak_nodes
+        wall, (chi_size, ite_misses, peak_nodes) = _reactive_once(machines)
         walls.append(wall)
     return {
         "modules": len(machines),
@@ -480,6 +574,7 @@ def run_report(smoke=False):
             _with_speedup(scenario, baseline)
     reactive = _median_of_runs(runs, _reactive_scenario)
     _with_speedup(reactive, _BASELINE["reactive"])
+    kernel = _median_kernel(runs) if native.kernel_library() else None
     # Aggregate kernel counters from a representative run: the stress sift
     # re-executed on a fresh manager, followed by a cofactor/quantification
     # drive on the sifted function.  Sifting alone never restricts or
@@ -503,7 +598,7 @@ def run_report(smoke=False):
             round(counters[f"{cache}_cache_hits"] / total, 4) if total else 0.0
         )
     store = {k: round(v, 4) for k, v in manager.store_stats().items()}
-    return {
+    report = {
         "format": BDD_BENCH_FORMAT,
         "smoke": smoke,
         "workloads": workloads,
@@ -513,6 +608,9 @@ def run_report(smoke=False):
         "store": store,
         "provenance": bench_provenance(best_of=BEST_OF, runs=runs),
     }
+    if kernel is not None:
+        report["kernel"] = kernel
+    return report
 
 
 def check_against_reference(report, reference):
@@ -582,6 +680,11 @@ def main(argv=None):
         f"chi {reactive['chi_size']}, {reactive['ite_misses']} ITE misses, "
         f"peak {reactive['peak_nodes']}, {reactive['speedup']}x vs baseline"
     )
+    for leg, timing in report.get("kernel", {}).items():
+        print(
+            f"  kernel[{leg}]: native {timing['wall_s']}s, python "
+            f"{timing['python_wall_s']}s, {timing['kernel_speedup']}x"
+        )
 
     if args.check:
         with open(args.check) as fh:

@@ -7,6 +7,9 @@ Public surface:
   edges (handles are plain ints, NOT is a bit flip), refcounted GC,
   swap-stable operation caches, iterative ITE, cube quantification (see
   DESIGN.md §5, "The BDD kernel");
+* :mod:`~repro.bdd.kernel` — the same manager on a C node store, which
+  ``BddManager()`` returns whenever ``_bdd_kernel.c`` builds (the Python
+  store is its oracle and the engine without a compiler);
 * :class:`~repro.bdd.manager.SizeProbe` — a function's ``size()`` after
   level swaps, recounting only the swapped levels (the synthesis flow's
   sift metric);

@@ -276,6 +276,9 @@ class SizeProbe:
       unreachable from the function, so a cached edge never aliases a
       recycled slot.
 
+    On the native kernel a read is the kernel's walk of the function,
+    which costs less than the bookkeeping below.
+
     A non-constant function reaches both terminal edges, so its size is
     2 plus the per-level counts; a constant's size is 1.  The first call
     and a call after :meth:`BddManager.new_var` count every level.
@@ -302,6 +305,9 @@ class SizeProbe:
 
     def __call__(self) -> int:
         manager = self.function.manager
+        if manager._native:
+            # The kernel's size walk is a C loop: no levels to cache.
+            return manager.size(self.function)
         clock = manager._order_clock
         last = self._clock
         if clock == last:
@@ -381,7 +387,26 @@ class _Checkpoint:
 
 
 class BddManager:
-    """Owner of the node store, unique subtables, and variable order."""
+    """Owner of the node store, unique subtables, and variable order.
+
+    ``BddManager()`` runs on the native kernel (:mod:`repro.bdd.kernel`)
+    whenever ``_bdd_kernel.c`` builds and loads, and on this class's
+    Python store otherwise; the two read the same functions, sizes,
+    orders and counters.
+    """
+
+    #: Whether the node store is the native kernel's.
+    _native = False
+
+    def __new__(cls, cache_limit: int = _DEFAULT_CACHE_LIMIT) -> "BddManager":
+        if cls is BddManager:
+            from . import native
+
+            if native.kernel_library() is not None:
+                from .kernel import NativeManager
+
+                cls = NativeManager
+        return object.__new__(cls)
 
     def __init__(self, cache_limit: int = _DEFAULT_CACHE_LIMIT) -> None:
         # Node store (struct of arrays).  Slot 0 is the terminal; its
@@ -913,12 +938,6 @@ class BddManager:
     # ------------------------------------------------------------------
     # Core ITE and derived operators
     # ------------------------------------------------------------------
-
-    def _top_level(self, edge: int) -> int:
-        v = self._var[edge >> 1]
-        if v == _TERMINAL_VAR:
-            return len(self._level_of_var)
-        return self._level_of_var[v]
 
     def _ite(self, f: int, g: int, h: int) -> int:
         """Iterative ITE with complement-aware standard-triple normalization.
@@ -1516,6 +1535,48 @@ class BddManager:
             ) ^ (edge & 1)
         return edge == TRUE_ID
 
+    def _evaluate_ids(
+        self,
+        edges: Sequence[int],
+        assignment: Dict[int, bool],
+        flips: Sequence[int] = (),
+    ) -> List[bool]:
+        """Each of ``edges`` under one assignment, then ``edges[0]`` under
+        that assignment with each variable of ``flips`` inverted in turn.
+
+        Callers that read several functions of one input (a reaction's
+        action conditions, the labels on an s-graph path, χ against each
+        single-output change) hand them all in at once: on the native
+        kernel that is one call.  A variable a walk needs and
+        ``assignment`` leaves out raises ``KeyError``.
+        """
+        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+
+        def walk(edge: int, values: Dict[int, bool]) -> bool:
+            while edge >= 2:
+                nid = edge >> 1
+                edge = (
+                    hi_arr[nid] if values[var_arr[nid]] else lo_arr[nid]
+                ) ^ (edge & 1)
+            return edge == TRUE_ID
+
+        results = [walk(edge, assignment) for edge in edges]
+        for var in flips:
+            flipped = dict(assignment)
+            flipped[var] = not flipped[var]
+            results.append(walk(edges[0], flipped))
+        return results
+
+    def _node_arrays(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """Every slot's variable, else-edge and then-edge, in one read.
+
+        The walkers below, and callers that lower a BDD node by node,
+        index these instead of building a :class:`Function` per node.
+        They stay valid until the next operation that builds, swaps or
+        collects.
+        """
+        return self._var, self._lo, self._hi
+
     def count_sat(self, f: Function, variables: Optional[Sequence[int]] = None) -> int:
         """Number of satisfying assignments over ``variables``.
 
@@ -1532,19 +1593,23 @@ class BddManager:
                 raise ValueError(f"count_sat variables missing support: {names}")
         levels = sorted(self._level_of_var[v] for v in count_vars)
         n = len(levels)
+        var_arr, lo_arr, hi_arr = self._node_arrays()
+        level_of = self._level_of_var
+        nvars = len(level_of)
 
-        def rank(level: int) -> int:
-            """Number of counted levels strictly above ``level``."""
+        def rank(edge: int) -> int:
+            """Number of counted levels strictly above ``edge``'s level."""
+            nid = edge >> 1
+            level = level_of[var_arr[nid]] if nid else nvars
             return bisect.bisect_left(levels, level)
 
         memo: Dict[int, int] = {}
-        lo_arr, hi_arr = self._lo, self._hi
 
         def count(edge: int) -> int:
             # Satisfying assignments over counted vars at/below this level.
             if edge == FALSE_ID:
                 return 0
-            here = rank(self._top_level(edge))
+            here = rank(edge)
             if edge == TRUE_ID:
                 return 1 << (n - here)
             if edge in memo:
@@ -1553,18 +1618,17 @@ class BddManager:
             nid = edge >> 1
             lo = lo_arr[nid] ^ c
             hi = hi_arr[nid] ^ c
-            lo_gap = rank(self._top_level(lo)) - here - 1
-            hi_gap = rank(self._top_level(hi)) - here - 1
+            lo_gap = rank(lo) - here - 1
+            hi_gap = rank(hi) - here - 1
             total = (count(lo) << lo_gap) + (count(hi) << hi_gap)
             memo[edge] = total
             return total
 
-        root_gap = rank(self._top_level(f.id))
-        return count(f.id) << root_gap
+        return count(f.id) << rank(f.id)
 
     def iter_sat(self, f: Function) -> Iterator[Dict[int, bool]]:
         """Iterate over satisfying cubes (partial assignments over support)."""
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        var_arr, lo_arr, hi_arr = self._node_arrays()
 
         def walk(edge: int, partial: Dict[int, bool]) -> Iterator[Dict[int, bool]]:
             if edge == FALSE_ID:
@@ -1597,6 +1661,7 @@ class BddManager:
         same function rather than exposing the shared physical slots.
         """
         lines = [f'digraph "{name}" {{', "  rankdir=TB;"]
+        var_arr, lo_arr, hi_arr = self._node_arrays()
         seen: Set[int] = set()
         stack = [f.id]
         while stack:
@@ -1611,11 +1676,11 @@ class BddManager:
                 continue
             c = edge & 1
             lines.append(
-                f'  n{edge} [label="{self.var_name(self._var[nid])}", '
+                f'  n{edge} [label="{self.var_name(var_arr[nid])}", '
                 f"shape=circle];"
             )
-            lo = self._lo[nid] ^ c
-            hi = self._hi[nid] ^ c
+            lo = lo_arr[nid] ^ c
+            hi = hi_arr[nid] ^ c
             lines.append(f"  n{edge} -> n{lo} [style=dashed];")
             lines.append(f"  n{edge} -> n{hi};")
             stack.append(lo)
@@ -2102,6 +2167,84 @@ class BddManager:
                 copied[hi >> 1] ^ (hi & 1),
             )
         return store._wrap(copied[f.id >> 1] ^ (f.id & 1))
+
+    def _sift_store(self, lib: Any, edge: int) -> Any:
+        """``edge`` alone in a new native sift store of ``lib`` (a pointer,
+        or None when out of memory): its nodes packed bottom-up, each in
+        the slot after its children's."""
+        from array import array
+
+        from .native import _address
+
+        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        nodes: Set[int] = set()
+        stack = [edge >> 1]
+        while stack:
+            nid = stack.pop()
+            if nid and nid not in nodes:
+                nodes.add(nid)
+                stack.append(lo_arr[nid] >> 1)
+                stack.append(hi_arr[nid] >> 1)
+        level_of = self._level_of_var
+        packed = sorted(nodes, key=lambda n: level_of[var_arr[n]], reverse=True)
+        slot = {0: 0}
+        for i, nid in enumerate(packed, 1):
+            slot[nid] = i
+        variables = array("i", [var_arr[n] for n in packed])
+        los = array(
+            "i", [slot[lo_arr[n] >> 1] << 1 | lo_arr[n] & 1 for n in packed]
+        )
+        his = array("i", [slot[hi_arr[n] >> 1] << 1 for n in packed])
+        return lib.ss_new(
+            self.num_vars, len(packed), _address(variables), _address(los),
+            _address(his), slot[edge >> 1] << 1 | edge & 1,
+        )
+
+    def _move_to_order(self, order: Sequence[int]) -> None:
+        """Move to ``order`` (top to bottom) by adjacent swaps, one
+        variable at a time from the top, as ``move_var_to_level`` does."""
+        for target, var in enumerate(order):
+            level = self._level_of_var[var]
+            while level < target:
+                self.swap_levels(level)
+                level += 1
+            while level > target:
+                self.swap_levels(level - 1)
+                level -= 1
+
+    # ------------------------------------------------------------------
+    # The s-graph builder's steps (Theorem 1)
+    # ------------------------------------------------------------------
+
+    def _test_step(self, chi: int, var: int) -> Tuple[int, int]:
+        """Both cofactors of ``chi`` by ``var``: a TEST vertex."""
+        return self._restrict(chi, var, False), self._restrict(chi, var, True)
+
+    def _assign_step(self, chi: int, var: int, cube: int) -> Tuple[int, int, int]:
+        """The ASSIGN vertex of output ``var``: ``(kind, label, child)``.
+
+        ``label`` is 1 exactly where assigning 1 is valid and assigning 0
+        is not, for some completion of the outputs in the positive cube
+        ``cube`` (-1 for none), which are smoothed away.  ``kind`` is the
+        label on the valid inputs: 0 FALSE, 1 TRUE, 2 the label itself.
+        ``child`` is the chi the vertex leads to, both cofactors OR-ed.
+        """
+        c0 = self._restrict(chi, var, False)
+        c1 = self._restrict(chi, var, True)
+        can0, can1 = c0, c1
+        if cube >= 0:
+            can0 = self._exists_cube(c0, cube)
+            can1 = self._exists_cube(c1, cube)
+        ite = self._ite
+        label = ite(can1, can0 ^ 1, FALSE_ID)
+        valid = ite(can0, TRUE_ID, can1)
+        if ite(valid, label ^ 1, FALSE_ID) == FALSE_ID:
+            kind = 1
+        elif ite(valid, label, FALSE_ID) == FALSE_ID:
+            kind = 0
+        else:
+            kind = 2
+        return kind, label, ite(c0, TRUE_ID, c1)
 
     # ------------------------------------------------------------------
     # Counters

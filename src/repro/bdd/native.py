@@ -1,4 +1,10 @@
-"""The native sift store: χ's exploration in C, a whole pass per call.
+"""The native BDD libraries: the manager's kernel and the sift store.
+
+``_bdd_kernel.c`` is the node store and the hot operations of
+:class:`~repro.bdd.BddManager` in C (:mod:`repro.bdd.kernel`);
+:func:`kernel_library` loads it, and ``BddManager()`` runs on it exactly
+when it loads.  ``_sift_store.c`` is the store a sift of χ explores on,
+described below.
 
 A sift by a bare :class:`~repro.bdd.SizeProbe` of ``f`` explores on a
 private store that holds ``f`` alone (:mod:`repro.bdd.sifting`).
@@ -30,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 SIFT_SOURCE = Path(__file__).with_name("_sift_store.c")
+KERNEL_SOURCE = Path(__file__).with_name("_bdd_kernel.c")
 COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120.0
 
@@ -38,6 +45,7 @@ live_objects = 0
 
 _UNLOADED = object()
 _sift_library: Any = _UNLOADED
+_kernel_library: Any = _UNLOADED
 
 
 def build_and_load(source: Path) -> Any:
@@ -124,6 +132,95 @@ def _declare(lib: Any) -> Any:
     return lib
 
 
+def _declare_kernel(lib: Any) -> Any:
+    """Declare the kernel's functions (see :func:`_declare`)."""
+    from ctypes import c_int, c_longlong, c_void_p, py_object
+
+    ints = c_void_p
+    store = c_void_p
+    queue = [ints, c_int]  # the handles' reference changes
+    for name, restype, argtypes in (
+        ("bk_new", c_void_p, [c_longlong]),
+        ("bk_free", None, [store]),
+        ("bk_set_limit", None, [store, c_longlong]),
+        ("bk_add_vars", c_int, [store, c_int]),
+        ("bk_mk", c_int, [store, c_int, c_int, c_int]),
+        ("bk_ite", c_int, [store, c_int, c_int, c_int]),
+        ("bk_fold", c_int, [store, ints, c_int, c_int]),
+        ("bk_restrict", c_int, [store, c_int, c_int, c_int]),
+        ("bk_exists", c_int, [store, c_int, c_int]),
+        ("bk_and_exists", c_int, [store, c_int, c_int, c_int]),
+        ("bk_compose", c_int, [store, c_int, c_int, c_int]),
+        ("bk_cube", c_int, [store, ints, c_int, ints]),
+        ("bk_assignments", c_int, [store, ints, c_int, ints, c_int, c_int]),
+        ("bk_conjoin_assignments", c_int, [
+            store, c_int, ints, ints, ints, ints,
+        ]),
+        ("bk_test_step", c_int, [store, c_int, c_int, ints]),
+        ("bk_assign_step", c_int, [store, c_int, c_int, c_int, ints]),
+        ("bk_size", c_int, [store, c_int, ints]),
+        ("bk_reachable_counts", c_int, [store, *queue, ints, c_int, ints]),
+        ("bk_support", c_int, [store, c_int, ints]),
+        ("bk_is_positive_cube", c_int, [store, c_int]),
+        ("bk_eval1", c_int, [store, c_int, py_object]),
+        ("bk_evaluate", c_int, [store, ints, py_object]),
+        ("bk_slots", c_int, [store]),
+        ("bk_node", c_int, [store, c_int, c_int]),
+        ("bk_nodes", None, [store, ints, ints, ints]),
+        ("bk_copy", c_int, [store, store, c_int, ints, ints]),
+        ("bk_sift_store", c_void_p, [store, c_int, c_void_p]),
+        ("bk_collect", c_int, [store, *queue]),
+        ("bk_swap", c_int, [store, *queue, c_int, c_int, ints, ints]),
+        ("bk_move_to_order", c_int, [store, *queue, ints, ints, ints]),
+        ("bk_checkpoint", c_void_p, [store, *queue]),
+        ("bk_rollback", None, [store, *queue, c_void_p, ints, ints]),
+        ("bk_free_checkpoint", None, [c_void_p]),
+        ("bk_counters", None, [store, *queue, ints]),
+        ("bk_set_counter", None, [store, c_int, c_longlong]),
+        ("bk_live_at_level", c_int, [store, *queue, c_int]),
+        ("bk_store_stats", None, [store, ints]),
+        ("bk_check", c_int, [store, *queue, ints, c_int]),
+    ):
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
+    return lib
+
+
+def kernel_library() -> Any:
+    """The loaded BDD kernel library, or None: managers run in Python.
+
+    Built and loaded at the first call of a process, never again.
+    """
+    global _kernel_library
+    if _kernel_library is _UNLOADED:
+        try:
+            _kernel_library = _declare_kernel(build_and_load(KERNEL_SOURCE))
+        except Exception:
+            _kernel_library = None
+    return _kernel_library
+
+
+def kernel_engine() -> str:
+    """``"native"`` or ``"python"``: which engine ``BddManager()`` runs."""
+    return "python" if kernel_library() is None else "native"
+
+
+def load_kernel_library() -> float:
+    """Build or load the kernel now; the wall it took, in ms (0.0 once done).
+
+    A build reports it apart from synthesis, so a compile in a fresh
+    checkout is not read as the first module's synthesis time.
+    """
+    if _kernel_library is not _UNLOADED:
+        return 0.0
+    import time
+
+    start = time.perf_counter()
+    kernel_library()
+    return (time.perf_counter() - start) * 1000.0
+
+
 def sift_library() -> Any:
     """The loaded sift store library, or None: the Python engine runs.
 
@@ -167,37 +264,15 @@ class NativeStore:
         self._ptr = None
         self._buffer: Optional[_NativeCheckpoint] = None
         manager = f.manager
-        var_arr, lo_arr, hi_arr = manager._var, manager._lo, manager._hi
-        nodes: Set[int] = set()
-        stack = [f.id >> 1]
-        while stack:
-            nid = stack.pop()
-            if nid and nid not in nodes:
-                nodes.add(nid)
-                stack.append(lo_arr[nid] >> 1)
-                stack.append(hi_arr[nid] >> 1)
-        level_of = manager._level_of_var
-        packed = sorted(nodes, key=lambda n: level_of[var_arr[n]], reverse=True)
-        slot = {0: 0}
-        for i, nid in enumerate(packed, 1):
-            slot[nid] = i
-        variables = array("i", [var_arr[n] for n in packed])
-        los = array(
-            "i", [slot[lo_arr[n] >> 1] << 1 | lo_arr[n] & 1 for n in packed]
-        )
-        his = array("i", [slot[hi_arr[n] >> 1] << 1 for n in packed])
         self._lib = lib
         self._swap, self._size, self._live = lib.ss_swap, lib.ss_size, lib.ss_live
-        self._support = frozenset(variables)
+        self._support = frozenset(manager._support_ids(f.id))
         # Arrays, so that a pass in C updates them in place.
-        self._level_of_var = array("i", level_of)
+        self._level_of_var = array("i", manager._level_of_var)
         self._var_at_level = array("i", manager._var_at_level)
         self.swap_count, self.swap_skips = manager.swap_count, manager.swap_skips
         self.ite_hits, self.ite_misses = manager.ite_hits, manager.ite_misses
-        self._ptr = lib.ss_new(
-            manager.num_vars, len(packed), _address(variables), _address(los),
-            _address(his), slot[f.id >> 1] << 1 | f.id & 1,
-        )
+        self._ptr = manager._sift_store(lib, f.id)
         if not self._ptr:
             raise MemoryError("native sift store")
         live_objects += 1

@@ -325,8 +325,7 @@ def _pass(
     manager.swap_count, manager.swap_skips = store.swap_count, store.swap_skips
     order = store.current_order()
     if order != manager.current_order():
-        for level, var in enumerate(order):
-            move_var_to_level(manager, var, level)
+        manager._move_to_order(order)
         store.swap_count = manager.swap_count
     return size
 

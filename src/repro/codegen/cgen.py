@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..bdd import Function
+from ..bdd import FALSE_ID, TRUE_ID, Function
 from ..cfsm.machine import AssignState, Emit
 from ..sgraph import ASSIGN, BEGIN, SGraph, TEST, SynthesisResult
 from ..synthesis.encoding import FireFlag, ReactiveEncoding
@@ -153,15 +153,23 @@ class CodeGenerator:
 
     def _render_label_fn(self, label: Function) -> str:
         """Render an ASSIGN label BDD as a nested ITE over input tests."""
-        if label.is_true:
+        nodes = label.manager._node_arrays()
+        return self._render_label_edge(label.id, *nodes)
+
+    def _render_label_edge(self, edge: int, var_arr, lo_arr, hi_arr) -> str:
+        if edge == TRUE_ID:
             return "1"
-        if label.is_false:
+        if edge == FALSE_ID:
             return "0"
-        cond = self._render_input_var(label.var)
-        return (
-            f"ITE({cond}, {self._render_label_fn(label.high)}, "
-            f"{self._render_label_fn(label.low)})"
+        nid = edge >> 1
+        cond = self._render_input_var(var_arr[nid])
+        high = self._render_label_edge(
+            hi_arr[nid] ^ (edge & 1), var_arr, lo_arr, hi_arr
         )
+        low = self._render_label_edge(
+            lo_arr[nid] ^ (edge & 1), var_arr, lo_arr, hi_arr
+        )
+        return f"ITE({cond}, {high}, {low})"
 
     # ------------------------------------------------------------------
     # Reaction function body

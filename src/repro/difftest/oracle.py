@@ -234,13 +234,15 @@ def check_reaction(
     else:
         full = dict(input_bits)
         full.update(bdd_bits)
-        if not manager.evaluate(rf.chi, full):
+        # chi on the reference vector, then with each output flipped: one
+        # manager call.
+        flips = encoding.output_vars if opts.check_chi_uniqueness else ()
+        accepted = manager._evaluate_ids([rf.chi.id], full, flips)
+        if not accepted[0]:
             bad("bdd", "chi", "chi rejects the reference output vector")
-        elif opts.check_chi_uniqueness:
-            for var in encoding.output_vars:
-                flipped = dict(full)
-                flipped[var] = not flipped[var]
-                if manager.evaluate(rf.chi, flipped):
+        else:
+            for var, also in zip(flips, accepted[1:]):
+                if also:
                     action = encoding.action_of_var(var)
                     bad(
                         "bdd",

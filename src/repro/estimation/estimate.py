@@ -117,27 +117,26 @@ def _label_guard_cost(
     label: Function, params: CostParams, var_cost: _VarCost
 ) -> Tuple[float, float]:
     """(cycles, bytes) of evaluating a non-constant ASSIGN label BDD."""
+    var_arr, lo_arr, hi_arr = label.manager._node_arrays()
     seen = set()
     stack = [label.id]
-    manager = label.manager
     nodes = 0
     cycles = 0.0
     size = 0.0
     while stack:
-        nid = stack.pop()
-        if nid in seen:
+        edge = stack.pop()
+        if edge in seen:
             continue
-        seen.add(nid)
-        fn = manager._wrap(nid)
-        if fn.is_constant:
+        seen.add(edge)
+        if edge < 2:
             continue
         nodes += 1
-        var = fn.var
-        cycles_here, size_here = var_cost(var)
+        nid = edge >> 1
+        cycles_here, size_here = var_cost(var_arr[nid])
         cycles += cycles_here + params.timing.t_test_true
         size += size_here + params.size.s_test
-        stack.append(fn.low.id)
-        stack.append(fn.high.id)
+        stack.append(lo_arr[nid] ^ (edge & 1))
+        stack.append(hi_arr[nid] ^ (edge & 1))
     # Execution touches at most the BDD depth, approximated as half the nodes.
     return cycles / 2.0 if nodes else 0.0, size
 

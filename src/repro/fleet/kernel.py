@@ -41,7 +41,7 @@ import re
 from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..bdd.manager import FALSE_ID, TRUE_ID, Function
+from ..bdd.manager import FALSE_ID, TRUE_ID
 from ..cfsm.expr import Expr
 from ..cfsm.machine import AssignState, Cfsm, Emit
 from ..cfsm.network import Network
@@ -397,7 +397,8 @@ class _ConditionPlanes:
     """
 
     def __init__(self, manager, circ: Circuit, var_plane: Dict[int, str]):
-        self.manager = manager
+        # One read of the node store: lowering builds no BDD.
+        self.var, self.lo, self.hi = manager._node_arrays()
         self.circ = circ
         self.var_plane = var_plane
         self.memo: Dict[int, str] = {}
@@ -410,11 +411,11 @@ class _ConditionPlanes:
         regular = edge & ~1
         plane = self.memo.get(regular)
         if plane is None:
-            node: Function = self.manager.wrap(regular)
+            nid = regular >> 1
             plane = self.circ.select(
-                self.var_plane[node.var],
-                self.plane(node.high.id),
-                self.plane(node.low.id),
+                self.var_plane[self.var[nid]],
+                self.plane(self.hi[nid]),
+                self.plane(self.lo[nid]),
             )
             self.memo[regular] = plane
         return self.circ.not_(plane) if edge & 1 else plane

@@ -484,6 +484,16 @@ def render_bdd_bench(doc: Dict[str, Any], top: int = 10) -> str:
             f"peak {reactive.get('peak_nodes', 0)} nodes, "
             f"{reactive.get('wall_s', 0.0):.4f} s ({_speedup(reactive)})"
         )
+    kernel = doc.get("kernel", {})
+    if kernel:
+        lines.append("")
+        for name, leg in sorted(kernel.items()):
+            lines.append(
+                f"kernel {name}, interleaved: native "
+                f"{leg.get('wall_s', 0.0):.4f} s, python "
+                f"{leg.get('python_wall_s', 0.0):.4f} s "
+                f"({leg.get('kernel_speedup', 0.0):.2f}x)"
+            )
     lines.append("")
     lines.append(_provenance_line(doc.get("provenance", {})))
     return "\n".join(lines)

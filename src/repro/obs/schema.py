@@ -384,6 +384,24 @@ def validate_bdd_bench(doc: Dict[str, Any]) -> List[str]:
         errors.extend(_bench_scenario_errors(
             "reactive", doc["reactive"], _BENCH_REACTIVE_COUNTERS
         ))
+    kernel = doc.get("kernel", {})
+    if not isinstance(kernel, dict):
+        errors.append("'kernel' is not an object")
+        kernel = {}
+    # Optional: steps timed on the native kernel and the Python manager.
+    for name, leg in kernel.items():
+        where = f"kernel[{name!r}]"
+        if not isinstance(leg, dict):
+            errors.append(f"{where}: not an object")
+            continue
+        for field in ("wall_s", "python_wall_s", "kernel_speedup"):
+            value = leg.get(field)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or value < 0
+            ):
+                errors.append(f"{where}: {field} must be a non-negative number")
     errors.extend(_provenance_errors(doc, ("best_of",), ("runs",)))
     counters = doc.get("counters")
     if not isinstance(counters, dict):

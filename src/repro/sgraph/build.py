@@ -87,10 +87,8 @@ def build_sgraph(
     memo: Dict[Tuple[int, int], int] = {}
     protected: List[int] = []
     protect = manager.protect
-    restrict_id = manager.restrict_id
-    exists_cube_id = manager.exists_cube_id
-    and_ids = manager.and_ids
-    or_ids = manager.or_ids
+    test_step = manager._test_step
+    assign_step = manager._assign_step
     false_id = manager.false.id
     n_order = len(order)
 
@@ -105,33 +103,30 @@ def build_sgraph(
         if cached is not None:
             return cached
         var = order[k]
-        c0 = restrict_id(chi, var, False)
-        c1 = restrict_id(chi, var, True)
         if var in outputs:
-            # ASSIGN vertex: the label is 1 exactly where assigning 1 is
-            # valid and assigning 0 is not, *for some completion of the
-            # remaining outputs* — hence the smoothing S over the outputs
-            # not yet assigned (the paper's boxed condition).  Don't-cares
-            # (both assignments completable) resolve to 0, "the cheapest
-            # option of no assignment".
-            cube = smooth_cube_ids.get(k)
-            can0 = exists_cube_id(c0, cube) if cube is not None else c0
-            can1 = exists_cube_id(c1, cube) if cube is not None else c1
-            label = and_ids(can1, can0 ^ 1)
-            # Don't-care simplification: inputs with no valid completion
-            # never reach this vertex, so the label only has to be right on
-            # `valid`; a label constant there becomes a constant vertex
-            # (e.g. when only a care-set correlation kept it symbolic).
-            valid = or_ids(can0, can1)
-            if and_ids(valid, label ^ 1) == false_id:
+            # ASSIGN vertex, one manager step: the label is 1 exactly where
+            # assigning 1 is valid and assigning 0 is not, *for some
+            # completion of the remaining outputs* — hence the smoothing S
+            # over the outputs not yet assigned (the paper's boxed
+            # condition).  Don't-cares (both assignments completable)
+            # resolve to 0, "the cheapest option of no assignment".
+            # Inputs with no valid completion never reach this vertex, so
+            # the label only has to be right on the valid inputs; a label
+            # constant there becomes a constant vertex (e.g. when only a
+            # care-set correlation kept it symbolic).
+            kind, label, child_chi = assign_step(
+                chi, var, smooth_cube_ids.get(k, -1)
+            )
+            if kind == 1:
                 label_fn = manager.true
-            elif and_ids(valid, label) == false_id:
+            elif kind == 0:
                 label_fn = manager.false
             else:
                 label_fn = manager.wrap(label)
-            child = rec(or_ids(c0, c1), k + 1)
+            child = rec(child_chi, k + 1)
             vid = sg.add_assign(var, label_fn, child)
         else:
+            c0, c1 = test_step(chi, var)
             if c0 == c1:
                 vid = rec(c0, k + 1)  # chi independent of var: skip the TEST
             else:

@@ -230,20 +230,26 @@ class SGraph:
         outputs: Dict[int, bool] = {}
         assigned: Set[int] = set()
         path: List[int] = []
+        # The path never depends on a label's value, so the labels met on
+        # it are evaluated together at END, in one manager call.
+        labels: List[Vertex] = []
         vid = self.begin
-        manager = None
         while True:
             vertex = self._vertices[vid]
             path.append(vid)
             if vertex.kind == END:
+                if labels:
+                    values = labels[0].label.manager._evaluate_ids(
+                        [v.label.id for v in labels], bits
+                    )
+                    for v, value in zip(labels, values):
+                        outputs[v.var] = value
                 return EvalResult(outputs=outputs, assigned=assigned, path=path)
             if vertex.kind in (BEGIN,):
                 vid = vertex.children[0]
             elif vertex.kind == ASSIGN:
                 assert vertex.label is not None and vertex.var is not None
-                manager = vertex.label.manager
-                value = manager.evaluate(vertex.label, bits)
-                outputs[vertex.var] = value
+                labels.append(vertex)
                 assigned.add(vertex.var)
                 vid = vertex.children[0]
             else:  # TEST

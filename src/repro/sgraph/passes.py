@@ -83,7 +83,13 @@ class OrderPass(Pass):
             state.order = mixed_order(rf, seed=state.mixed_seed)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        metrics: Dict[str, Any] = {"scheme": scheme, "chi_nodes": rf.chi.size()}
+        metrics: Dict[str, Any] = {
+            "scheme": scheme,
+            "chi_nodes": rf.chi.size(),
+            # The manager's store: the C kernel, or the Python one when no
+            # compiler could build it.
+            "bdd_engine": "native" if rf.manager._native else "python",
+        }
         if scheme in ("sift", "sift-strict"):
             # The store the sift explored on: the C one, or the Python one
             # when no compiler could build it.

@@ -202,12 +202,12 @@ class ReactiveFunction:
         interpreter :func:`repro.cfsm.semantics.react`.
         """
         bits = self.encoding.evaluate_inputs(state, present, values)
-        out: Dict[int, bool] = {}
-        for action in self.encoding.actions:
-            out[self.encoding.action_vars[action.key()]] = self.manager.evaluate(
-                self.conditions[action.key()], bits
-            )
-        return out
+        keys = [action.key() for action in self.encoding.actions]
+        fired = self.manager._evaluate_ids(
+            [self.conditions[key].id for key in keys], bits
+        )
+        action_vars = self.encoding.action_vars
+        return {action_vars[key]: value for key, value in zip(keys, fired)}
 
     def selected_actions(self, output_bits: Dict[int, bool]) -> List[Action]:
         """Decode an output assignment into the actions to execute."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from ..bdd import FALSE_ID, TRUE_ID
 from ..cfsm.expr import BINARY_OPS, UNARY_OPS, BinOp, Cond, Const, EventValue, UnOp, Var
 from ..cfsm.machine import AssignState, Emit, ExprTest, PresenceTest
 from ..sgraph import ASSIGN, TEST
@@ -148,29 +149,34 @@ class _Emitter:
         prefix = f"__b{self._branch}"
         node_labels: Dict[int, str] = {}
 
-        def lab(f) -> str:
-            if f.is_true:
+        def lab(edge: int) -> str:
+            if edge == TRUE_ID:
                 return on_true
-            if f.is_false:
+            if edge == FALSE_ID:
                 return on_false
-            return node_labels.setdefault(f.id, f"{prefix}_{f.id}")
+            return node_labels.setdefault(edge, f"{prefix}_{edge}")
 
+        # One read of the node store, then a walk over plain edges.
+        var_arr, lo_arr, hi_arr = fn.manager._node_arrays()
         emitted: Set[int] = set()
-        stack = [fn]
+        stack = [fn.id]
         first = True
         while stack:
-            f = stack.pop()
-            if f.is_constant or f.id in emitted:
+            edge = stack.pop()
+            if edge < 2 or edge in emitted:
                 continue
-            emitted.add(f.id)
+            emitted.add(edge)
             if not first:
-                self.prog.label(lab(f))
+                self.prog.label(lab(edge))
             first = False
-            self.emit_input_var(f.var)
-            self.prog.emit("BNZ", lab(f.high))
-            self.prog.emit("JMP", lab(f.low))
-            stack.append(f.high)
-            stack.append(f.low)
+            nid = edge >> 1
+            high = hi_arr[nid] ^ (edge & 1)
+            low = lo_arr[nid] ^ (edge & 1)
+            self.emit_input_var(var_arr[nid])
+            self.prog.emit("BNZ", lab(high))
+            self.prog.emit("JMP", lab(low))
+            stack.append(high)
+            stack.append(low)
 
     # -- actions --------------------------------------------------------------
 

@@ -102,17 +102,16 @@ class ReachabilityAnalysis:
             value_samples = [{}]
 
         seen: Set[Tuple[StateTuple, str]] = set()
+        # Every output's condition, evaluated in one manager call per input.
+        output_vars = self.rf.output_vars
+        conditions = [self.rf.conditions_by_var(var).id for var in output_vars]
+        evaluate = self.rf.manager._evaluate_ids
         for mask in range(1, 1 << len(events)):
             present = {events[i] for i in range(len(events)) if (mask >> i) & 1}
             for values in value_samples:
                 bits = self.encoding.evaluate_inputs(state, present, values)
                 actions = self.rf.selected_actions(
-                    {
-                        var: self.rf.manager.evaluate(
-                            self.rf.conditions_by_var(var), bits
-                        )
-                        for var in self.rf.output_vars
-                    }
+                    dict(zip(output_vars, evaluate(conditions, bits)))
                 )
                 assigns = [a for a in actions if isinstance(a, AssignState)]
                 if not assigns:

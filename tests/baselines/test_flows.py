@@ -73,6 +73,25 @@ class TestFlows:
         assert "POLIS" in str(flow)
 
     def test_modular_synthesis_faster(self, small_net):
-        polis = polis_flow(small_net, K11)
-        esterel = single_fsm_flow(small_net, K11)
-        assert polis.synthesis_seconds < esterel.synthesis_seconds
+        """Modular synthesis does less BDD work than the product machine.
+
+        Counted, not timed: one timed run of each flow on three small
+        modules differs by well under a millisecond, and the first flow
+        of a process pays its one-time costs (the native libraries'
+        build or load) inside its window.  The wall-clock comparison is
+        asserted at full-dashboard scale by
+        benchmarks/bench_table3_esterel.py.
+        """
+
+        def work(flow):
+            totals = {"ite_cache_misses": 0, "swaps": 0}
+            for result in flow.results.values():
+                counters = result.reactive.manager.counters()
+                for name in totals:
+                    totals[name] += counters[name]
+            return totals
+
+        polis = work(polis_flow(small_net, K11))
+        esterel = work(single_fsm_flow(small_net, K11))
+        assert polis["ite_cache_misses"] < esterel["ite_cache_misses"]
+        assert polis["swaps"] < esterel["swaps"]

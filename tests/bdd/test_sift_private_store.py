@@ -141,19 +141,20 @@ def sift_outcome(run, build, private, groups=None):
     f, others = build(m)
     before = m.swap_count
     moves = []
-    swap_levels = m.swap_levels
+    move_to_order = m._move_to_order
 
-    def counted(level, interaction=None):
-        moves.append(level)
-        swap_levels(level, interaction)
+    def counted(order):
+        start = m.swap_count
+        move_to_order(order)
+        moves.append(m.swap_count - start)
 
-    m.swap_levels = counted
+    m._move_to_order = counted
     metric = SizeProbe(f) if private else (lambda: f.size())
     final = run(m, groups=groups, metric=metric)
-    del m.swap_levels
+    del m._move_to_order
     m.check()
     assert all(root.manager is m for root in others)  # live to the end
-    return (m.current_order(), final, f.size()), m.swap_count - before, len(moves)
+    return (m.current_order(), final, f.size()), m.swap_count - before, sum(moves)
 
 
 def assert_private_matches_in_place(run, build, groups=None):

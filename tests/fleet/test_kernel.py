@@ -51,13 +51,15 @@ def test_compile_network_leaves_no_manager_alive(monkeypatch):
     """Every BDD manager a compile makes is freed when it returns, without
     the cyclic collector."""
     made = []
-    init = BddManager.__init__
+    new = BddManager.__new__
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(weakref.ref(self))
+    def recording_new(cls, *args, **kwargs):
+        # __new__, not __init__: the native kernel's manager has its own.
+        manager = new(cls, *args, **kwargs)
+        made.append(weakref.ref(manager))
+        return manager
 
-    monkeypatch.setattr(BddManager, "__init__", recording_init)
+    monkeypatch.setattr(BddManager, "__new__", recording_new)
     designs = [dashboard_network(), shock_network(), abp_network()]
     gc.collect()
     gc.disable()

@@ -170,13 +170,15 @@ def test_synthesis_leaves_no_manager_alive(monkeypatch, dashboard_net, shock_net
     from repro.bdd import BddManager
 
     made = []
-    init = BddManager.__init__
+    new = BddManager.__new__
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(weakref.ref(self))
+    def recording_new(cls, *args, **kwargs):
+        # __new__, not __init__: the native kernel's manager has its own.
+        manager = new(cls, *args, **kwargs)
+        made.append(weakref.ref(manager))
+        return manager
 
-    monkeypatch.setattr(BddManager, "__init__", recording_init)
+    monkeypatch.setattr(BddManager, "__new__", recording_new)
     machines = [
         m for net in (dashboard_net, shock_net, abp_network()) for m in net.machines
     ]
