@@ -38,9 +38,9 @@ from .pipeline import (
     ModuleArtifacts,
     ModuleBuildTask,
     make_executor,
-    module_cache_key,
     synthesis_options,
 )
+from .pipeline.cache import _module_keys
 from .pipeline.parallel import run_traced
 from .pipeline.trace import staged
 from .rtos import RtosConfig, generate_rtos_c, select_policy
@@ -268,10 +268,11 @@ def build_system(
 
     # Cache lookups first, so the executor only sees real work.
     pending: List[Tuple] = []  # (machine, key or None)
+    module_key = _module_keys(options, profile) if cache is not None else None
     for machine in software:
         key = None
         if cache is not None:
-            key = module_cache_key(machine, options, profile)
+            key = module_key(machine)
             artifacts = cache.get(key)
             if artifacts is not None:
                 if trace is not None:

@@ -24,6 +24,19 @@ before it unpickles anything, so a truncated, bit-flipped or overwritten
 entry is a miss — never a crash, never wrong artifacts — and the
 rebuild's :meth:`~ArtifactCache.put` replaces it.
 
+Every store-wide read is one two-level ``os.scandir`` of the fan-out
+directories ``objects/<k[:2]>/``, and three rules keep it the size of
+what the store holds, not of every prefix it ever used:
+
+* a capped store's eviction sweep removes every fan-out directory it
+  finds or leaves empty (``clear()`` too);
+* a ``put`` whose directory a concurrent sweep removed between its
+  ``makedirs`` and its ``mkstemp`` recreates it and retries;
+* :meth:`~ArtifactCache.metrics_dict` and :meth:`~ArtifactCache.stats`
+  take the stored bytes from the handle's latest sweep while no ``get``
+  or ``put`` has gone through it since, so a capped build scans the
+  store once per write and never again.
+
 ``shared=True`` promotes the store to a *concurrency-safe shared* cache
 for long-running multi-process services (the ``repro serve`` front door):
 
@@ -44,12 +57,13 @@ for long-running multi-process services (the ``repro serve`` front door):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 try:  # POSIX file locking; absent on exotic platforms -> lockless fallback
     import fcntl
@@ -87,6 +101,12 @@ _VERSIONED_SUBPACKAGES = (
     "verify",
 )
 
+#: Attempts a write makes at creating its temp file (see :func:`_temp_file`).
+_WRITE_ATTEMPTS = 4
+
+#: A stored entry as the scan sees it: ``(mtime, size, key, path)``.
+_Entry = Tuple[float, int, str, str]
+
 _code_version: Optional[str] = None
 
 
@@ -103,6 +123,39 @@ def _pid_alive(pid: int) -> bool:
     except OSError:
         return True  # e.g. EPERM: alive but not ours
     return True
+
+
+def _temp_file(directory: str) -> Tuple[int, str]:
+    """``mkstemp`` a ``.tmp-*.pkl`` in ``directory``, creating it first.
+
+    A concurrent sweep may remove an empty fan-out directory between the
+    ``makedirs`` and the ``mkstemp``; the write then recreates it and tries
+    again.  Once the temp file exists the directory is not empty, so no
+    sweep can remove it before the ``os.replace``.
+    """
+    attempts = _WRITE_ATTEMPTS
+    while True:
+        os.makedirs(directory, exist_ok=True)
+        try:
+            return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".pkl")
+        except FileNotFoundError:
+            attempts -= 1
+            if not attempts:
+                raise
+
+
+def _prune(held: Dict[str, int]) -> None:
+    """Remove every fan-out directory in ``held`` counted as holding nothing.
+
+    A write landing meanwhile makes the ``rmdir`` fail and the directory
+    stay; a write that finds it gone retries (:func:`_temp_file`).
+    """
+    for path, names in held.items():
+        if not names:
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
 
 
 def code_version() -> str:
@@ -168,19 +221,21 @@ def profile_fingerprint(profile) -> str:
     return _hash_text(repr(shape))
 
 
+def _module_keys(options: Dict[str, Any], profile) -> Callable[[Any], str]:
+    """:func:`module_cache_key` with ``options`` and ``profile`` bound.
+
+    Their fingerprints and the code version are the part of every key a
+    build shares, so they are hashed once here instead of once a module.
+    """
+    shared = "|".join(
+        (options_fingerprint(options), profile_fingerprint(profile), code_version())
+    )
+    return lambda cfsm: _hash_text(f"key/v1|{cfsm_fingerprint(cfsm)}|{shared}")
+
+
 def module_cache_key(cfsm, options: Dict[str, Any], profile) -> str:
     """The content address of one module's build artifacts."""
-    return _hash_text(
-        "|".join(
-            (
-                "key/v1",
-                cfsm_fingerprint(cfsm),
-                options_fingerprint(options),
-                profile_fingerprint(profile),
-                code_version(),
-            )
-        )
-    )
+    return _module_keys(options, profile)(cfsm)
 
 
 class ArtifactCache:
@@ -188,9 +243,11 @@ class ArtifactCache:
 
     ``max_bytes`` (also the CLI's ``--cache-max-bytes``) bounds the store:
     after every write the least-recently-used entries are evicted until
-    the store fits.  Recency is tracked through entry file mtimes (a hit
-    touches the file), so the LRU order survives across processes sharing
-    one cache directory.  Keys this process served a hit for or wrote —
+    the store fits, and fan-out directories left empty are removed; the
+    sweep's byte count is what :meth:`metrics_dict` and :meth:`stats`
+    report until the next ``get`` or ``put`` through this handle.  Recency
+    is tracked through entry file mtimes (a hit touches the file), so the
+    LRU order survives across processes sharing one cache directory.  Keys this process served a hit for or wrote —
     the *in-flight* set, whose payloads a live build may still hold — are
     pinned and never evicted by this process.
 
@@ -214,6 +271,9 @@ class ArtifactCache:
         self.misses = 0
         self.evictions = 0
         self._pinned: set = set()
+        #: Bytes the latest sweep left stored; None once a get or put has
+        #: gone through this handle since (or before any sweep).
+        self._swept_bytes: Optional[int] = None
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], f"{key}.pkl")
@@ -247,6 +307,7 @@ class ArtifactCache:
         any exception while unpickling, and a foreign format version are
         all misses.
         """
+        self._swept_bytes = None
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -276,15 +337,13 @@ class ArtifactCache:
 
     def put(self, key: str, payload: Any) -> None:
         """Store ``payload`` under ``key`` atomically."""
+        self._swept_bytes = None
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         body = pickle.dumps(
             {"format": CACHE_FORMAT_VERSION, "key": key, "payload": payload},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
-        )
+        fd, tmp = _temp_file(os.path.dirname(path))
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(hashlib.sha256(body).digest())
@@ -301,30 +360,60 @@ class ArtifactCache:
 
     # -- eviction ----------------------------------------------------------
 
-    def _entries(self):
-        """Every stored entry as ``(mtime, size, key, path)``.
+    def _scan(self) -> Tuple[List[_Entry], Dict[str, int]]:
+        """Every stored entry, and how many names each fan-out directory holds.
 
-        In-progress temp files (``.tmp-*.pkl``) are not entries: another
-        process's eviction sweep must never unlink one mid-write (its
-        ``os.replace`` would crash on the vanished source).
+        One two-level ``os.scandir`` of ``objects/<k[:2]>/``; an entry is
+        ``(mtime, size, key, path)``.  In-progress temp files
+        (``.tmp-*.pkl``) are not entries: another process's eviction sweep
+        must never unlink one mid-write (its ``os.replace`` would crash on
+        the vanished source).  They still count as names, so a directory
+        holding one is never taken for empty.
         """
-        out = []
-        objects = os.path.join(self.root, "objects")
-        for dirpath, _, filenames in os.walk(objects):
-            for name in filenames:
-                if not name.endswith(".pkl") or name.startswith(".tmp-"):
+        entries: List[_Entry] = []
+        held: Dict[str, int] = {}
+        try:
+            fanouts = os.scandir(os.path.join(self.root, "objects"))
+        except OSError:
+            return entries, held
+        with fanouts:
+            for fanout in fanouts:
+                if not fanout.is_dir(follow_symlinks=False):
                     continue
-                path = os.path.join(dirpath, name)
+                found: List[_Entry] = []
+                names = 0
                 try:
-                    stat = os.stat(path)
-                except OSError:
+                    with os.scandir(fanout.path) as children:
+                        for child in children:
+                            name = child.name
+                            if name.endswith(".pkl") and not name.startswith(".tmp-"):
+                                try:
+                                    stat = child.stat()
+                                except OSError:  # evicted since the listing
+                                    continue
+                                found.append(
+                                    (stat.st_mtime, stat.st_size, name[:-4], child.path)
+                                )
+                            names += 1
+                except OSError:  # pruned by a concurrent sweep
                     continue
-                out.append((stat.st_mtime, stat.st_size, name[:-4], path))
-        return out
+                entries += found
+                held[fanout.path] = names
+        return entries, held
+
+    def _entries(self) -> List[_Entry]:
+        """Every stored entry as ``(mtime, size, key, path)``."""
+        return self._scan()[0]
 
     def total_bytes(self) -> int:
-        """Bytes currently stored."""
+        """Bytes currently stored (a fresh scan)."""
         return sum(size for _, size, _, _ in self._entries())
+
+    def _latest_bytes(self) -> int:
+        """The latest sweep's byte count while it is current, else a scan."""
+        if self._swept_bytes is None:
+            return self.total_bytes()
+        return self._swept_bytes
 
     def _disk_pinned_keys(self) -> set:
         """Keys pinned on disk by any live process (shared mode).
@@ -358,37 +447,30 @@ class ArtifactCache:
             pinned.add(key)
         return pinned
 
+    @contextlib.contextmanager
     def _eviction_lock(self):
-        """An exclusive-lock context over ``<root>/.lock`` (shared mode)."""
-        cache = self
+        """An exclusive lock over ``<root>/.lock`` while held (shared mode).
 
-        class _Lock:
-            def __enter__(self):
-                self._fd = None
-                if not cache.shared or fcntl is None:
-                    return self
+        A failure to open or lock the file degrades to a lockless sweep.
+        """
+        fd = None
+        if self.shared and fcntl is not None:
+            try:
+                os.makedirs(self.root, exist_ok=True)
+                fd = os.open(os.path.join(self.root, ".lock"), os.O_CREAT | os.O_RDWR)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:
+                if fd is not None:
+                    os.close(fd)
+                    fd = None
+        try:
+            yield
+        finally:
+            if fd is not None:
                 try:
-                    os.makedirs(cache.root, exist_ok=True)
-                    self._fd = os.open(
-                        os.path.join(cache.root, ".lock"),
-                        os.O_CREAT | os.O_RDWR,
-                    )
-                    fcntl.flock(self._fd, fcntl.LOCK_EX)
-                except OSError:
-                    if self._fd is not None:
-                        os.close(self._fd)
-                        self._fd = None
-                return self
-
-            def __exit__(self, *exc):
-                if self._fd is not None:
-                    try:
-                        fcntl.flock(self._fd, fcntl.LOCK_UN)
-                    finally:
-                        os.close(self._fd)
-                return False
-
-        return _Lock()
+                    fcntl.flock(fd, fcntl.LOCK_UN)
+                finally:
+                    os.close(fd)
 
     def _evict_to_fit(self) -> int:
         """Drop LRU entries until the store fits ``max_bytes``.
@@ -397,6 +479,8 @@ class ArtifactCache:
         just read or wrote must never find it vanished.  In shared mode
         the sweep honours every process's on-disk pins and runs under the
         eviction file lock so two sweeps never race the scan-and-unlink.
+        Every fan-out directory the sweep finds or leaves empty is
+        removed, and the bytes left stored become :attr:`_swept_bytes`.
         Returns how many entries were evicted.
         """
         if self.max_bytes is None:
@@ -405,7 +489,8 @@ class ArtifactCache:
             pinned = set(self._pinned)
             if self.shared:
                 pinned |= self._disk_pinned_keys()
-            entries = sorted(self._entries())  # oldest mtime first
+            entries, held = self._scan()
+            entries.sort()  # oldest mtime first
             total = sum(size for _, size, _, _ in entries)
             evicted = 0
             for _, size, key, path in entries:
@@ -419,6 +504,9 @@ class ArtifactCache:
                     continue
                 total -= size
                 evicted += 1
+                held[os.path.dirname(path)] -= 1
+            _prune(held)
+        self._swept_bytes = total
         self.evictions += evicted
         if self.shared and evicted:
             self.sync_counters()
@@ -520,25 +608,20 @@ class ArtifactCache:
         return os.path.exists(self._path(key))
 
     def __len__(self) -> int:
-        count = 0
-        objects = os.path.join(self.root, "objects")
-        for _, _, filenames in os.walk(objects):
-            count += sum(
-                1 for f in filenames
-                if f.endswith(".pkl") and not f.startswith(".tmp-")
-            )
-        return count
+        return len(self._entries())
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        objects = os.path.join(self.root, "objects")
-        for dirpath, _, filenames in os.walk(objects):
-            for name in filenames:
-                if name.endswith(".pkl") and not name.startswith(".tmp-"):
-                    os.unlink(os.path.join(dirpath, name))
-                    removed += 1
-        return removed
+        """Delete every entry and the fan-out directories that empties.
+
+        Returns how many entries were removed.
+        """
+        self._swept_bytes = None
+        entries, held = self._scan()
+        for _, _, _, path in entries:
+            os.unlink(path)
+            held[os.path.dirname(path)] -= 1
+        _prune(held)
+        return len(entries)
 
     @property
     def hit_rate(self) -> float:
@@ -547,19 +630,24 @@ class ArtifactCache:
         return self.hits / lookups if lookups else 0.0
 
     def metrics_dict(self) -> Dict[str, float]:
-        """The cache's counters as flat metrics (the build trace's keys)."""
+        """The cache's counters as flat metrics (the build trace's keys).
+
+        ``cache_bytes`` is the latest sweep's count when no ``get`` or
+        ``put`` has gone through this handle since, else a fresh scan.
+        """
         return {
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_evictions": self.evictions,
-            "cache_bytes": self.total_bytes(),
+            "cache_bytes": self._latest_bytes(),
         }
 
     def stats(self) -> str:
+        """One line of counters; its bytes are :meth:`metrics_dict`'s."""
         line = (
             f"cache {self.root}: {self.hits} hits, {self.misses} misses "
             f"({self.hit_rate:.0%} hit rate), {self.evictions} evictions, "
-            f"{self.total_bytes()} bytes stored"
+            f"{self._latest_bytes()} bytes stored"
         )
         if self.max_bytes is not None:
             line += f" (max {self.max_bytes})"

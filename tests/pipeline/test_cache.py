@@ -1,14 +1,17 @@
 """Content addressing and the on-disk artifact cache."""
 
 import hashlib
+import os
 import pickle
 import random
+import tempfile
 
 import pytest
 
 from repro.estimation import calibrate
 from repro.pipeline import (
     ArtifactCache,
+    BuildTrace,
     build_module_artifacts,
     cfsm_fingerprint,
     code_version,
@@ -61,6 +64,50 @@ class TestFingerprints:
         assert module_cache_key(cfsm, other_scheme, K11) != base
         assert module_cache_key(cfsm, base_opts, K32) != base
         assert module_cache_key(make_modal_cfsm(), base_opts, K11) != base
+
+    def test_a_build_keys_every_module_as_module_cache_key_does(self):
+        """Hashing the build-invariant part once leaves every key's bytes."""
+        from repro.apps import abp_network, dashboard_network, shock_network
+        from repro.flow import build_system
+
+        class Recorder:  # the three calls build_system makes on a cache
+            def __init__(self):
+                self.keys = []
+
+            def get(self, key):
+                self.keys.append(key)
+
+            def put(self, key, payload):
+                pass
+
+            def metrics_dict(self):
+                return {}
+
+        def spelled_out(cfsm, options, profile):
+            joined = "|".join((
+                "key/v1", cfsm_fingerprint(cfsm), options_fingerprint(options),
+                profile_fingerprint(profile), code_version(),
+            ))
+            return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+        machines = 0
+        for network in (dashboard_network(), shock_network(), abp_network()):
+            for profile in (K11, K32):
+                recorder = Recorder()
+                build_system(network, profile=profile, cache=recorder)
+                options = synthesis_options(
+                    scheme="sift", copy_elimination=True,
+                    params=calibrate(profile),
+                )
+                assert recorder.keys == [
+                    spelled_out(m, options, profile) for m in network.machines
+                ]
+                assert recorder.keys == [
+                    module_cache_key(m, options, profile)
+                    for m in network.machines
+                ]
+            machines += len(network.machines)
+        assert machines == 17
 
 
 class TestArtifactCache:
@@ -296,6 +343,218 @@ class TestEviction:
         assert "0 hits, 1 misses" in text
         assert "(0% hit rate)" in text
         assert "(max 4096)" in text
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every store-wide scan any handle makes, as the roots it scanned."""
+    calls = []
+    scan = ArtifactCache._scan
+
+    def counted(self):
+        calls.append(self.root)
+        return scan(self)
+
+    monkeypatch.setattr(ArtifactCache, "_scan", counted)
+    return calls
+
+
+def _key(index):
+    return hashlib.sha256(f"sweep-{index}".encode()).hexdigest()
+
+
+def _fan_outs(root):
+    objects = os.path.join(str(root), "objects")
+    return {name: os.listdir(os.path.join(objects, name)) for name in os.listdir(objects)}
+
+
+def _scripted_evictions(root):
+    """Evicted key prefixes, by step, of a scripted put/get sequence.
+
+    Every touched entry's mtime is forced to ``1_000_000 + step // 4``, so
+    runs of four steps tie on mtime and the sweep's order falls back to
+    size, then key.  Pins are released after every step, so only the cap
+    and that order decide what goes.
+    """
+    sizes = [700, 300, 1200, 300, 900, 500, 300, 1100, 800, 300, 600, 1000]
+    keys = [hashlib.sha256(f"lru-{i}".encode()).hexdigest() for i in range(12)]
+    rng = random.Random(27)
+    script = [
+        ("get" if rng.random() < 0.4 else "put", rng.randrange(12))
+        for _ in range(48)
+    ]
+    cache = ArtifactCache(root, max_bytes=4000)
+    present = set()
+    evicted = []
+    for step, (kind, index) in enumerate(script):
+        key = keys[index]
+        if kind == "put":
+            cache.put(key, b"x" * sizes[index])
+        else:
+            cache.get(key)
+        path = cache._path(key)
+        if os.path.exists(path):
+            os.utime(path, (1_000_000 + step // 4,) * 2)
+        cache.release_pins()
+        now = {k for k in keys if k in cache}
+        evicted += [(step, k[:8]) for k in sorted(present - now)]
+        present = now
+    return evicted
+
+
+#: ``_scripted_evictions`` as recorded once on the ``os.walk`` sweep that
+#: preceded the ``scandir`` one: the scan changed, the LRU order did not.
+_RECORDED_EVICTIONS = [
+    (15, "04ba2c01"), (15, "7f43b775"), (15, "d172e0de"), (17, "a908a428"),
+    (18, "e599eb66"), (20, "4c0d8eae"), (21, "8ce5ecf2"), (24, "2be26dad"),
+    (29, "4f8f987a"), (31, "7f43b775"), (36, "04ba2c01"), (36, "e3b5da44"),
+    (42, "04ba2c01"), (42, "e599eb66"),
+]
+
+
+class TestSweeps:
+    """A sweep costs what the store holds, and its byte count is reused."""
+
+    def _seed_fillers(self, root, count=6, size=3000):
+        seeder = ArtifactCache(root)
+        for index in range(count):
+            seeder.put(_key(index), b"f" * size)
+            os.utime(seeder._path(_key(index)), (1_000_000,) * 2)
+
+    def test_a_capped_build_scans_once_per_miss(self, tmp_path, scans):
+        from repro.apps import dashboard_network
+        from repro.flow import build_system
+
+        root = str(tmp_path)
+        self._seed_fillers(root)
+        # Room for the dashboard's eight entries (~35 KB) and a few fillers.
+        cold = ArtifactCache(root, max_bytes=45_000)
+        trace = BuildTrace()
+        build_system(dashboard_network(), cache=cold, trace=trace)
+        assert cold.misses == 8 and len(scans) == 8
+        assert cold.evictions > 0
+        assert trace.metrics["cache_bytes"] == cold._swept_bytes
+        assert "bytes stored" in cold.stats() and len(scans) == 8
+        assert trace.metrics["cache_bytes"] == cold.total_bytes()
+
+        keys = [e.metrics["key"] for e in trace.events if e.kind == "cache"]
+        for key in keys[:3]:
+            os.unlink(cold._path(key))
+        del scans[:]
+        warm = ArtifactCache(root, max_bytes=45_000)
+        trace = BuildTrace()
+        build_system(dashboard_network(), cache=warm, trace=trace)
+        assert (warm.hits, warm.misses) == (5, 3)
+        assert len(scans) == 3
+        warm.stats()
+        assert len(scans) == 3
+        assert trace.metrics["cache_bytes"] == warm.total_bytes()
+
+    def test_bytes_are_rescanned_after_a_get_or_without_a_sweep(
+        self, tmp_path, scans
+    ):
+        capped = ArtifactCache(str(tmp_path), max_bytes=10_000)
+        capped.put(_key(0), b"x" * 100)
+        assert len(scans) == 1
+        capped.metrics_dict()
+        assert len(scans) == 1
+        capped.get(_key(0))
+        capped.metrics_dict()
+        assert len(scans) == 2
+        uncapped = ArtifactCache(str(tmp_path))
+        uncapped.put(_key(1), b"x" * 100)
+        assert len(scans) == 2
+        assert uncapped.metrics_dict()["cache_bytes"] == uncapped.total_bytes()
+        assert len(scans) == 4
+
+    def test_one_capped_put_prunes_every_empty_fan_out_directory(
+        self, tmp_path
+    ):
+        for prefix in range(256):
+            os.makedirs(tmp_path / "objects" / f"{prefix:02x}")
+        cache = ArtifactCache(str(tmp_path), max_bytes=10_000)
+        cache.put(_key(0), b"x" * 100)
+        assert _fan_outs(tmp_path) == {_key(0)[:2]: [f"{_key(0)}.pkl"]}
+
+    def test_a_sweep_removes_the_directories_its_evictions_empty(
+        self, tmp_path
+    ):
+        root = str(tmp_path)
+        self._seed_fillers(root)
+        cache = ArtifactCache(root, max_bytes=1_000)
+        cache.put(_key(99), b"x" * 100)
+        assert cache.evictions == 6
+        assert _fan_outs(tmp_path) == {_key(99)[:2]: [f"{_key(99)}.pkl"]}
+
+    def test_a_temp_file_keeps_its_directory(self, tmp_path):
+        root = str(tmp_path)
+        self._seed_fillers(root, count=1)
+        bucket = os.path.dirname(ArtifactCache(root)._path(_key(0)))
+        with open(os.path.join(bucket, ".tmp-writing.pkl"), "wb"):
+            pass
+        cache = ArtifactCache(root, max_bytes=1_000)
+        cache.put(_key(99), b"x" * 100)
+        assert cache.evictions == 1
+        assert os.listdir(bucket) == [".tmp-writing.pkl"]
+
+    def test_a_put_retries_a_directory_a_sweep_removed(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ArtifactCache(str(tmp_path), max_bytes=10_000)
+        bucket = os.path.dirname(cache._path(_key(0)))
+        mkstemp = tempfile.mkstemp
+        calls = []
+
+        def racing(dir=None, **kwargs):
+            calls.append(dir)
+            if len(calls) == 1:
+                os.rmdir(dir)  # a concurrent sweep, between makedirs and here
+            return mkstemp(dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", racing)
+        cache.put(_key(0), {"payload": 1})
+        assert calls == [bucket, bucket]
+        assert cache.get(_key(0)) == {"payload": 1}
+        assert os.listdir(bucket) == [f"{_key(0)}.pkl"]
+
+    def test_a_put_gives_up_after_repeated_removals(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ArtifactCache(str(tmp_path))
+        mkstemp = tempfile.mkstemp
+
+        def always_removed(dir=None, **kwargs):
+            os.rmdir(dir)
+            return mkstemp(dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", always_removed)
+        with pytest.raises(FileNotFoundError):
+            cache.put(_key(0), b"x")
+        assert _key(0) not in cache
+
+    def test_a_get_under_a_pruned_prefix_is_a_plain_miss(self, tmp_path):
+        root = str(tmp_path)
+        self._seed_fillers(root, count=1)
+        cache = ArtifactCache(root, max_bytes=1_000)
+        cache.put(_key(99), b"x" * 100)
+        assert not os.path.exists(os.path.dirname(cache._path(_key(0))))
+        assert cache.get(_key(0)) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert _key(0) not in cache
+
+    def test_clear_removes_the_directories_it_empties(self, tmp_path):
+        root = str(tmp_path)
+        self._seed_fillers(root, count=4)
+        bucket = os.path.dirname(ArtifactCache(root)._path(_key(0)))
+        with open(os.path.join(bucket, ".tmp-writing.pkl"), "wb"):
+            pass
+        cache = ArtifactCache(root)
+        assert cache.clear() == 4
+        assert _fan_outs(tmp_path) == {_key(0)[:2]: [".tmp-writing.pkl"]}
+        assert len(cache) == 0 and cache.total_bytes() == 0
+
+    def test_equal_mtimes_evict_in_the_recorded_order(self, tmp_path):
+        assert _scripted_evictions(str(tmp_path)) == _RECORDED_EVICTIONS
 
 
 class TestParamsInKey:

@@ -212,3 +212,32 @@ def test_local_mode_never_writes_shared_bookkeeping(tmp_path):
     assert not os.path.exists(os.path.join(root, "pins"))
     assert not os.path.exists(os.path.join(root, "counters"))
     assert cache.shared_metrics() == {"hits": 0, "misses": 0, "evictions": 0}
+
+
+def test_shared_sweeps_prune_fan_outs_and_keep_the_bookkeeping(tmp_path):
+    """Only emptied ``objects/`` fan-outs go; pins and counters stay."""
+    root = str(tmp_path / "cache")
+    for prefix in range(256):
+        os.makedirs(os.path.join(root, "objects", f"{prefix:02x}"))
+    cache = ArtifactCache(root, max_bytes=_MAX_BYTES, shared=True)
+    cache.put(_key(0), _payload(0))
+    assert os.listdir(os.path.join(root, "objects")) == [_key(0)[:2]]
+    assert cache.pin_files() == [f"{_key(0)}.{os.getpid()}.pin"]
+    cache.release_pins()
+    assert os.listdir(os.path.join(root, "counters")) == [f"{os.getpid()}.json"]
+
+
+def test_a_pinned_entry_keeps_its_fan_out_until_released(tmp_path):
+    root = str(tmp_path / "cache")
+    holder = ArtifactCache(root, shared=True)
+    holder.put(_key(0), _payload(0))
+    bucket = os.path.dirname(holder._path(_key(0)))
+    other = ArtifactCache(root, max_bytes=_BLOB_BYTES + 512, shared=True)
+    other.put(_key(1), _payload(1))
+    other.release_pins()
+    assert other.evictions == 0 and os.path.isdir(bucket)
+    holder.release_pins()
+    other.put(_key(2), _payload(2))
+    assert other.evictions == 2  # the released entry and key 1
+    assert not os.path.exists(bucket)
+    assert os.listdir(os.path.join(root, "objects")) == [_key(2)[:2]]
