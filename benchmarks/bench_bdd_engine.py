@@ -35,19 +35,20 @@ over the shock absorber's ``damping_logic`` characteristic function,
 whose size probe (:class:`repro.bdd.SizeProbe`) recounts only the levels
 each move swapped.  That sift explores on a private copy of χ, so its
 swaps are the exploration's plus the moves of the shared manager to each
-pass's order.  The copy is the native C store whenever it builds, and
-``chi`` times both engines: ``wall_s`` is the native store's, and
-``python_wall_s`` the Python store's, from best-of runs of the two
-alternating in the same process, so both see the same host;
+pass's order.  The copy is a manager of the shared one's kernel, and a
+pass on the native kernel is one C call; ``chi`` times both kernels:
+``wall_s`` is the native kernel's, and ``python_wall_s`` the Python
+manager's, whose passes run ``sifting._sift_pass``, from best-of runs of
+the two alternating in the same process, so both see the same host;
 ``engine_speedup`` is their ratio.  Both must read the same counters.
 
 The ``kernel`` section times two steps on both BDD kernels:
-``reactive`` (below) and ``chi`` (the sift above, on the native store
-whenever it builds), each the best of ``BEST_OF`` runs alternating the
-native kernel and the Python manager in the same process, so both see
-the same host period.  ``wall_s`` is the native kernel's,
-``python_wall_s`` the Python manager's, and ``kernel_speedup`` their
-ratio; both kernels must read the same counters.
+``reactive`` (below) and ``chi`` (the sift above), each the best of
+``BEST_OF`` runs alternating the native kernel and the Python manager in
+the same process, so both see the same host period.  ``wall_s`` is the
+native kernel's, ``python_wall_s`` the Python manager's, and
+``kernel_speedup`` their ratio; both kernels must read the same
+counters.
 
 The ``reactive`` section times the step before sifting,
 ``synthesize_reactive`` (care set, conditions, χ) over the 17 example
@@ -332,17 +333,6 @@ def _independent_scenario():
     return scenario
 
 
-@contextlib.contextmanager
-def _engine(name):
-    """Sift on the ``"native"`` or the ``"python"`` private store in the block."""
-    loaded = native.sift_library()
-    native._sift_library = loaded if name == "native" else None
-    try:
-        yield
-    finally:
-        native._sift_library = loaded
-
-
 def _chi_scenario():
     """The synthesis flow's heaviest sift, through its own entry point.
 
@@ -350,26 +340,26 @@ def _chi_scenario():
     variables): reset to the naive order, then sift to convergence by the
     characteristic function's semantic size, probed after every move.
     wall_s is the best of BEST_OF runs on fresh reactive functions, on
-    the native store when it builds; python_wall_s the best of as many
-    runs on the Python store, alternating with them.  The counters are
-    deterministic and equal in every run of either engine.
+    the native kernel when it builds; python_wall_s the best of as many
+    runs on the Python manager, alternating with them.  The counters are
+    deterministic and equal in every run of either kernel.
     """
     from repro.apps import shock_network
     from repro.sgraph import sifted_order
     from repro.synthesis import synthesize_reactive
 
     machine = shock_network().machine("damping_logic")
-    engines = ("native", "python") if native.sift_library() else ("python",)
+    engines = ("native", "python") if native.kernel_library() else ("python",)
     walls = {name: [] for name in engines}
     counters = set()
     for _ in range(BEST_OF):
         for name in engines:
-            rf = synthesize_reactive(machine)
-            manager = rf.manager
-            manager.swap_count = 0
-            manager.swap_skips = 0
-            manager.collect_count = 0
-            with _engine(name):
+            with _kernel(name):
+                rf = synthesize_reactive(machine)
+                manager = rf.manager
+                manager.swap_count = 0
+                manager.swap_skips = 0
+                manager.collect_count = 0
                 t0 = time.perf_counter()
                 sifted_order(rf)
                 walls[name].append(time.perf_counter() - t0)
@@ -670,7 +660,7 @@ def main(argv=None):
             line += f", {scenario['speedup']}x vs baseline"
         if "engine_speedup" in scenario:
             line += (
-                f"; python store {scenario['python_wall_s']}s, native "
+                f"; python manager {scenario['python_wall_s']}s, native "
                 f"{scenario['engine_speedup']}x faster"
             )
         print(line)

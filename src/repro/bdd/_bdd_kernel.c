@@ -22,6 +22,10 @@
  * order.  The level maps are the kernel's; calls that move variables copy
  * them out to the caller's arrays.
  *
+ * bk_sift_pass runs a whole sifting pass of repro.bdd.sifting on a store
+ * that holds one function alone, the private copy a sift explores on:
+ * the same swaps, checkpoints and rollbacks, one call per pass.
+ *
  * Every call that allocates returns -1 (or NULL) when memory runs out;
  * the store is then still valid: nodes built so far are unreferenced
  * newborns that the next collect frees, and a cache entry that did not
@@ -91,6 +95,9 @@ typedef struct {
     long long cnt[NCOUNTERS];
     long long limit;
     Table ite, res, quant;
+    int **clean; /* per block of a sift, known by its top variable: the
+                    order its last sift left it in place from, or NULL */
+    int nclean;  /* the variables those orders are of */
 } K;
 
 /* ------------------------------------------------------------------ */
@@ -692,6 +699,18 @@ static int and_exists_(K *k, int f, int g, int cube)
 /* The store's life                                                   */
 /* ------------------------------------------------------------------ */
 
+/* Drop the sift's memo of clean blocks. */
+static void forget_clean(K *k)
+{
+    int v;
+    if (k->clean)
+        for (v = 0; v < k->nclean; v++)
+            free(k->clean[v]);
+    free(k->clean);
+    k->clean = NULL;
+    k->nclean = 0;
+}
+
 void bk_free(K *k)
 {
     int v;
@@ -724,6 +743,7 @@ void bk_free(K *k)
     free(k->ite.e);
     free(k->res.e);
     free(k->quant.e);
+    forget_clean(k);
     free(k);
 }
 
@@ -1294,34 +1314,6 @@ int bk_copy(K *k, K *dst, int e, int *level_of, int *var_at)
     return map[e >> 1] ^ (e & 1);
 }
 
-typedef void *(*SiftStoreNew)(int, int, const int *, const int *,
-                              const int *, int);
-
-/* e alone in a new native sift store (_sift_store.c's ss_new), packed
- * bottom-up; NULL when out of memory. */
-void *bk_sift_store(K *k, int e, SiftStoreNew ss_new)
-{
-    int n = pack(k, e), i, *slot, *var, *lo, *hi;
-    void *store;
-    slot = k->work + 2 * (size_t)k->cap;
-    if (n < 0 || !(var = malloc(3 * ((size_t)n + 1) * sizeof *var)))
-        return NULL;
-    lo = var + n + 1;
-    hi = lo + n + 1;
-    slot[0] = 0;
-    for (i = 0; i < n; i++)
-        slot[k->work[i]] = i + 1;
-    for (i = 0; i < n; i++) {
-        int nid = k->work[i];
-        var[i] = k->var[nid];
-        lo[i] = slot[k->lo[nid] >> 1] << 1 | (k->lo[nid] & 1);
-        hi[i] = slot[k->hi[nid] >> 1] << 1;
-    }
-    store = ss_new(k->nvars, n, var, lo, hi, slot[e >> 1] << 1 | (e & 1));
-    free(var);
-    return store;
-}
-
 /* ------------------------------------------------------------------ */
 /* Collection and swaps                                               */
 /* ------------------------------------------------------------------ */
@@ -1344,11 +1336,10 @@ static void free_dead(K *k, int n)
 /* Reclaim every unreferenced node; returns how many.  The caches are
  * purged of the slots freed since the last collect, which then become
  * reusable. */
-int bk_collect(K *k, const int *q, int nq)
+static int collect(K *k)
 {
     int n, freed, i;
     k->cnt[C_COLLECTS]++;
-    apply(k, q, nq);
     for (n = 1; n < k->slots; n++)
         if (k->var[n] != TERMINAL_VAR && !k->ref[n] && !k->dpos[n])
             kill(k, n);
@@ -1369,6 +1360,12 @@ int bk_collect(K *k, const int *q, int nq)
         k->npend = 0;
     }
     return freed;
+}
+
+int bk_collect(K *k, const int *q, int nq)
+{
+    apply(k, q, nq);
+    return collect(k);
 }
 
 /* g = mk(x, lo, hi) in a swap, with one reference for its new parent;
@@ -1404,6 +1401,16 @@ static int swap_mk(K *k, int x, int lo, int hi, int *created)
     *b = n;
     (*created)++;
     return (n << 1) | c;
+}
+
+/* Exchange the variables at `level` and `level` + 1 in the level maps. */
+static void relabel(K *k, int level)
+{
+    int x = k->var_at[level], y = k->var_at[level + 1];
+    k->var_at[level] = y;
+    k->var_at[level + 1] = x;
+    k->level_of[x] = level + 1;
+    k->level_of[y] = level;
 }
 
 /* Swap the variables at `level` and `level` + 1 in place (the structural
@@ -1485,10 +1492,19 @@ static int swap(K *k, int level)
         grow_subtable(k, x);
         grow_subtable(k, y);
     }
-    k->var_at[level] = y;
-    k->var_at[level + 1] = x;
-    k->level_of[x] = level + 1;
-    k->level_of[y] = level;
+    relabel(k, level);
+    return 0;
+}
+
+/* swap_levels(level): `skip` only exchanges the level maps (the
+ * interaction fast path).  -1 when out of memory. */
+static int swap_levels(K *k, int level, int skip)
+{
+    if (!skip)
+        return swap(k, level);
+    k->cnt[C_SWAPS]++;
+    k->cnt[C_SKIPS]++;
+    relabel(k, level);
     return 0;
 }
 
@@ -1498,24 +1514,12 @@ static void order_out(const K *k, int *level_of, int *var_at)
     memcpy(var_at, k->var_at, (size_t)k->nvars * sizeof(int));
 }
 
-/* swap_levels(level): `skip` only exchanges the level maps (the
- * interaction fast path).  -1 when out of memory. */
 int bk_swap(K *k, const int *q, int nq, int level, int skip, int *level_of,
             int *var_at)
 {
-    int r = 0;
+    int r;
     apply(k, q, nq);
-    if (skip) {
-        int x = k->var_at[level], y = k->var_at[level + 1];
-        k->cnt[C_SWAPS]++;
-        k->cnt[C_SKIPS]++;
-        k->var_at[level] = y;
-        k->var_at[level + 1] = x;
-        k->level_of[x] = level + 1;
-        k->level_of[y] = level;
-    } else {
-        r = swap(k, level);
-    }
+    r = swap_levels(k, level, skip);
     order_out(k, level_of, var_at);
     return r;
 }
@@ -1544,6 +1548,7 @@ int bk_move_to_order(K *k, const int *q, int nq, const int *order,
 
 typedef struct {
     int slots, ndead, nfree, npend, allocated, live, dead;
+    size_t cap; /* ints allocated at data */
     int *data;
 } Checkpoint;
 
@@ -1578,23 +1583,22 @@ static void ckpt_transfer(K *k, Checkpoint *cp, int back)
 #undef MOVE
 }
 
-/* A copy of the node store, the subtables and the order (not the work
- * counters, the caches or the handles); NULL when out of memory. */
-void *bk_checkpoint(K *k, const int *q, int nq)
+/* Copy the node store, the subtables and the order (not the work
+ * counters, the caches or the handles) into cp, growing its buffer as
+ * needed.  -1, with cp unchanged, when out of memory. */
+static int take(K *k, Checkpoint *cp)
 {
-    Checkpoint *cp;
-    size_t len;
+    size_t len = 6 * (size_t)k->slots + (size_t)k->ndead +
+                 (size_t)k->nfree + (size_t)k->npend + 5 * (size_t)k->nvars;
     int v;
-    apply(k, q, nq);
-    len = 6 * (size_t)k->slots + (size_t)k->ndead + (size_t)k->nfree +
-          (size_t)k->npend + 5 * (size_t)k->nvars;
     for (v = 0; v < k->nvars; v++)
         len += (size_t)k->nb[v];
-    if (!(cp = malloc(sizeof *cp)))
-        return NULL;
-    if (!(cp->data = malloc(len * sizeof *cp->data))) {
-        free(cp);
-        return NULL;
+    if (len > cp->cap) {
+        int *data = realloc(cp->data, len * sizeof *data);
+        if (!data)
+            return -1;
+        cp->data = data;
+        cp->cap = len;
     }
     cp->slots = k->slots;
     cp->ndead = k->ndead;
@@ -1604,14 +1608,12 @@ void *bk_checkpoint(K *k, const int *q, int nq)
     cp->live = k->live;
     cp->dead = k->dead;
     ckpt_transfer(k, cp, 0);
-    return cp;
+    return 0;
 }
 
 /* Restore cp.  Arrays never shrink, so everything fits where it was. */
-void bk_rollback(K *k, const int *q, int nq, Checkpoint *cp, int *level_of,
-                 int *var_at)
+static void restore(K *k, Checkpoint *cp)
 {
-    apply(k, q, nq);
     k->slots = cp->slots;
     k->ndead = cp->ndead;
     k->nfree = cp->nfree;
@@ -1620,6 +1622,25 @@ void bk_rollback(K *k, const int *q, int nq, Checkpoint *cp, int *level_of,
     k->live = cp->live;
     k->dead = cp->dead;
     ckpt_transfer(k, cp, 1);
+}
+
+/* A checkpoint of the store; NULL when out of memory. */
+void *bk_checkpoint(K *k, const int *q, int nq)
+{
+    Checkpoint *cp = calloc(1, sizeof *cp);
+    apply(k, q, nq);
+    if (cp && take(k, cp)) {
+        free(cp);
+        return NULL;
+    }
+    return cp;
+}
+
+void bk_rollback(K *k, const int *q, int nq, Checkpoint *cp, int *level_of,
+                 int *var_at)
+{
+    apply(k, q, nq);
+    restore(k, cp);
     order_out(k, level_of, var_at);
 }
 
@@ -1796,4 +1817,236 @@ int bk_check(K *k, const int *q, int nq, const int *roots, int nroots)
     }
     memset(k->flag, 0, (size_t)k->slots);
     return err;
+}
+
+/* ------------------------------------------------------------------ */
+/* Sifting                                                            */
+/* ------------------------------------------------------------------ */
+
+/* One sifting pass: the store, its one root's support, the block layout
+ * and each block's position, the checkpoint every block's sift takes
+ * into, and the order at the sifted block's start. */
+typedef struct {
+    K *k;
+    const int *support;      /* per variable: does the root depend on it */
+    const int *first, *vars; /* block b: vars[first[b] .. first[b + 1]),
+                                top to bottom */
+    int *at, *pos;           /* position -> block, block -> position */
+    int *saved;
+    Checkpoint cp;
+} Pass;
+
+/* Swap the variables at `lvl` and `lvl` + 1.  A pair with a variable
+ * outside the root's support interacts nowhere: the fast path. */
+static int swap_level(Pass *p, int lvl)
+{
+    int x = p->k->var_at[lvl], y = p->k->var_at[lvl + 1];
+    return swap_levels(p->k, lvl, !p->support[x] || !p->support[y]);
+}
+
+/* Exchange the blocks at positions i and i + 1: each variable of the top
+ * block, bottom-most first, swaps down past the whole bottom block. */
+static int exchange(Pass *p, int i)
+{
+    int top = p->at[i], bottom = p->at[i + 1];
+    int n = p->first[top + 1] - p->first[top];
+    int m = p->first[bottom + 1] - p->first[bottom];
+    int lvl = p->k->level_of[p->vars[p->first[top]]], j, r;
+    for (j = n - 1; j >= 0; j--)
+        for (r = 0; r < m; r++)
+            if (swap_level(p, lvl + j + r))
+                return -1;
+    p->at[i] = bottom;
+    p->at[i + 1] = top;
+    p->pos[bottom] = i;
+    p->pos[top] = i + 1;
+    return 0;
+}
+
+/* Roll block b back from position `current` to its sift's start. */
+static void return_to_start(Pass *p, int b, int start, int current)
+{
+    int j;
+    restore(p->k, &p->cp);
+    for (j = current; j > start; j--)
+        p->pos[p->at[j] = p->at[j - 1]] = j;
+    for (j = current; j < start; j++)
+        p->pos[p->at[j] = p->at[j + 1]] = j;
+    p->pos[p->at[start] = b] = start;
+}
+
+static int exceeds(int size, int best, double max_growth)
+{
+    return (double)size > (double)best * max_growth;
+}
+
+/* Sift every block once, in `schedule` order, as
+ * repro.bdd.sifting._sift_pass does, on a store that holds the function
+ * `root` alone and whose size is that function's: `nblocks` blocks whose
+ * variables, listed top to bottom, are vars[first[b] .. first[b + 1]),
+ * laid out in that order.  above[above_first[v] .. above_first[v + 1])
+ * are the variables that must stay above v, below[...] likewise;
+ * above_first NULL means none.  The queue is applied and the store
+ * collected first.  The store remembers, across the passes of its sift,
+ * the order each block's sift left it in place from, and skips the block
+ * while the order is that one.  out receives the final size and the
+ * store's swap and skip totals; samples, unless NULL, (size, swaps,
+ * skips, live nodes, ITE hits, ITE misses) after each block the Python
+ * pass samples.  Returns the number of samples, or -1 when out of memory
+ * (the store is then valid, mid-pass). */
+int bk_sift_pass(K *k, const int *q, int nq, int root, int nblocks,
+                 const int *first, const int *vars, const int *schedule,
+                 const int *above_first, const int *above,
+                 const int *below_first, const int *below, double max_growth,
+                 long long *out, long long *samples, int *level_of,
+                 int *var_at)
+{
+    int nvars = k->nvars, taken = 0, failed = -1, t, b, j, i;
+    size_t order_bytes = (size_t)nvars * sizeof(int);
+    int *block_of, *support, *sizes;
+    Pass p;
+    apply(k, q, nq);
+    collect(k);
+    memset(&p, 0, sizeof p);
+    p.k = k;
+    p.first = first;
+    p.vars = vars;
+    /* Scratch by the variables and the blocks, not by the store's slots:
+     * a small function may have many more variables than nodes. */
+    p.saved = malloc((3 * (size_t)nvars + 3 * (size_t)nblocks + 1) *
+                     sizeof(int));
+    if (!p.saved)
+        goto done;
+    if (k->nclean != nvars) {
+        forget_clean(k);
+        /* One more entry than variables: a store of none still gets one. */
+        if (!(k->clean = calloc((size_t)nvars + 1, sizeof *k->clean)))
+            goto done;
+        k->nclean = nvars;
+    }
+    block_of = p.saved + nvars;
+    p.support = support = block_of + nvars;
+    p.at = support + nvars;
+    p.pos = p.at + nblocks;
+    sizes = p.pos + nblocks;
+    /* The root's support, listed into saved before any block needs it. */
+    memset(support, 0, order_bytes);
+    for (j = bk_support(k, root, p.saved) - 1; j >= 0; j--)
+        support[p.saved[j]] = 1;
+    for (b = 0; b < nblocks; b++) {
+        p.at[b] = p.pos[b] = b;
+        for (j = first[b]; j < first[b + 1]; j++)
+            block_of[vars[j]] = b;
+    }
+    for (t = 0; t < nblocks; t++) {
+        int start, lo = 0, hi = nblocks - 1, current, best, best_pos, size;
+        int key, nsizes = 0;
+        double limit;
+        b = schedule[t];
+        start = p.pos[b];
+        key = vars[first[b]];
+        if (above_first)
+            for (j = first[b]; j < first[b + 1]; j++) {
+                int v = vars[j];
+                for (i = above_first[v]; i < above_first[v + 1]; i++) {
+                    int c = block_of[above[i]], at;
+                    if (c == b)
+                        continue;
+                    at = p.pos[c];
+                    at = at < start ? at + 1 : at;
+                    lo = at > lo ? at : lo;
+                }
+                for (i = below_first[v]; i < below_first[v + 1]; i++) {
+                    int c = block_of[below[i]], at;
+                    if (c == b)
+                        continue;
+                    at = p.pos[c];
+                    at = at > start ? at - 1 : at;
+                    hi = at < hi ? at : hi;
+                }
+            }
+        if (lo == start && hi == start)
+            continue;
+        if (k->clean[key] && !memcmp(k->clean[key], k->var_at, order_bytes))
+            goto sample; /* sifted from this very order and left in place */
+
+        best = walk(k, 1, &root, NULL);
+        best_pos = current = start;
+        if (take(k, &p.cp))
+            goto done;
+        memcpy(p.saved, k->var_at, order_bytes);
+        /* Phase 1: sift down towards hi, recording each size. */
+        sizes[nsizes++] = best;
+        while (current < hi) {
+            if (exchange(&p, current++))
+                goto done;
+            sizes[nsizes++] = size = walk(k, 1, &root, NULL);
+            if (size < best) {
+                best = size;
+                best_pos = current;
+            } else if (exceeds(size, best, max_growth)) {
+                break;
+            }
+        }
+        /* Phase 2: climb past the start when no recorded size aborts the
+         * climb back through them, returning to the start by rollback. */
+        limit = (double)best * max_growth;
+        if (lo < start) {
+            for (i = 0; i < current - start && (double)sizes[i] <= limit; i++)
+                ;
+            if (i == current - start) {
+                if (current != start)
+                    return_to_start(&p, b, start, current);
+                current = start;
+                while (current > lo) {
+                    if (exchange(&p, --current))
+                        goto done;
+                    size = walk(k, 1, &root, NULL);
+                    if (size < best) {
+                        best = size;
+                        best_pos = current;
+                    } else if (exceeds(size, best, max_growth)) {
+                        break;
+                    }
+                }
+            }
+        }
+        /* Phase 3: freeze at the best position, from the start when that
+         * is nearer. */
+        if (current != start &&
+            abs(best_pos - start) < abs(best_pos - current)) {
+            return_to_start(&p, b, start, current);
+            current = start;
+        }
+        for (; current < best_pos; current++)
+            if (exchange(&p, current))
+                goto done;
+        for (; current > best_pos; current--)
+            if (exchange(&p, current - 1))
+                goto done;
+        if (current == start) {
+            if (!k->clean[key] && !(k->clean[key] = malloc(order_bytes)))
+                goto done;
+            memcpy(k->clean[key], p.saved, order_bytes);
+        }
+    sample:
+        if (samples) {
+            long long *at = samples + 6 * taken++;
+            at[0] = walk(k, 1, &root, NULL);
+            at[1] = k->cnt[C_SWAPS];
+            at[2] = k->cnt[C_SKIPS];
+            at[3] = k->live;
+            at[4] = k->cnt[C_ITE_HITS];
+            at[5] = k->cnt[C_ITE_MISSES];
+        }
+    }
+    failed = 0;
+done:
+    out[0] = walk(k, 1, &root, NULL);
+    out[1] = k->cnt[C_SWAPS];
+    out[2] = k->cnt[C_SKIPS];
+    order_out(k, level_of, var_at);
+    free(p.saved);
+    free(p.cp.data);
+    return failed ? -1 : taken;
 }

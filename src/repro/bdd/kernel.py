@@ -7,7 +7,9 @@ set, the free list, the swap quarantine, the ITE, restrict and
 quantification caches and the work counters, and runs each operation
 whole: an ITE, a balanced conjunction, a restrict, a quantification, a
 cube or assignment set, a collect, a swap, a move to a new order, a size
-or support walk, a checkpoint or a rollback is one call.
+or support walk, a checkpoint or a rollback is one call, and so is a
+whole sifting pass on the private copy a sift explores on
+(:meth:`NativeManager._sift_blocks`).
 
 Python keeps what Python code reaches: the :class:`~repro.bdd.Function`
 handles and their weakref registry, the queue of handle deaths, the held
@@ -33,7 +35,10 @@ from __future__ import annotations
 import functools
 import weakref
 from array import array
-from typing import Any, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from . import native
 from .manager import (
@@ -65,6 +70,9 @@ _COUNTERS = (
     "restrict_cache_hits", "restrict_cache_misses", "quant_cache_hits",
     "quant_cache_misses", "cache_resets",
 )
+# A sift pass's sample: the size, then the counters a profile's timeline
+# reads (see _sift_blocks).
+_SAMPLE = 6
 
 _CHECKS = {
     1: "level maps are not inverse permutations",
@@ -537,12 +545,60 @@ class NativeManager(BddManager):
             _fail()
         return store._wrap(edge)
 
-    def _sift_store(self, lib: Any, edge: int) -> Any:
-        import ctypes
+    def _sift_blocks(
+        self,
+        edge: int,
+        blocks: Sequence[Sequence[int]],
+        schedule: Sequence[int],
+        relations: Optional[Sequence[array]],
+        max_growth: float,
+        sampled: bool,
+    ) -> Tuple[int, int, int, List[Tuple[int, Dict[str, int]]]]:
+        """One sifting pass in one C call (``bk_sift_pass``), on a store
+        whose one root is ``edge``: the private copy a sift explores on.
 
-        return self._lib.bk_sift_store(
-            self._ptr, edge, ctypes.cast(lib.ss_new, ctypes.c_void_p)
+        ``blocks`` is the layout, each block's variables top to bottom,
+        and ``schedule`` the indices of the blocks in the order they are
+        sifted.  ``relations`` bounds them: for each variable, those that
+        must stay above it, then those that must stay below it, packed by
+        :meth:`~repro.bdd.sifting.PrecedenceConstraints._packed`; None
+        bounds nothing.  Returns the root's final size, the swap and skip
+        totals, and, when ``sampled``, the ``(size, counters)`` a profile
+        samples after each block the Python pass samples: of the counters,
+        those a :meth:`~repro.obs.SiftProfile.timeline` reads.
+        """
+        flat = array("i", chain.from_iterable(blocks))
+        first = array("i", accumulate(map(len, blocks), initial=0))
+        schedule = array("i", schedule)
+        bounds: Sequence[Optional[int]] = (None,) * 4
+        if relations is not None:
+            bounds = [table.buffer_info()[0] for table in relations]
+        out = array("q", (0, 0, 0))
+        samples = None
+        if sampled:
+            samples = array("q", (0,)) * (_SAMPLE * len(blocks))
+        q = self._queue(True)
+        taken = self._lib.bk_sift_pass(
+            self._ptr, *q.buffer_info(), edge, len(blocks),
+            first.buffer_info()[0], flat.buffer_info()[0],
+            schedule.buffer_info()[0], *bounds, max_growth,
+            out.buffer_info()[0],
+            None if samples is None else samples.buffer_info()[0],
+            *self._levels(),
         )
+        del q[:]
+        if taken < 0:
+            _fail()
+        rows = (
+            samples[at:at + _SAMPLE] for at in range(0, _SAMPLE * taken, _SAMPLE)
+        )
+        return out[0], out[1], out[2], [
+            (size, {
+                "swaps": swaps, "swap_skips": skips, "live_nodes": live,
+                "ite_cache_hits": hits, "ite_cache_misses": misses,
+            })
+            for size, swaps, skips, live, hits, misses in rows
+        ]
 
 
 class _NativeCheckpoint:

@@ -2168,38 +2168,6 @@ class BddManager:
             )
         return store._wrap(copied[f.id >> 1] ^ (f.id & 1))
 
-    def _sift_store(self, lib: Any, edge: int) -> Any:
-        """``edge`` alone in a new native sift store of ``lib`` (a pointer,
-        or None when out of memory): its nodes packed bottom-up, each in
-        the slot after its children's."""
-        from array import array
-
-        from .native import _address
-
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        nodes: Set[int] = set()
-        stack = [edge >> 1]
-        while stack:
-            nid = stack.pop()
-            if nid and nid not in nodes:
-                nodes.add(nid)
-                stack.append(lo_arr[nid] >> 1)
-                stack.append(hi_arr[nid] >> 1)
-        level_of = self._level_of_var
-        packed = sorted(nodes, key=lambda n: level_of[var_arr[n]], reverse=True)
-        slot = {0: 0}
-        for i, nid in enumerate(packed, 1):
-            slot[nid] = i
-        variables = array("i", [var_arr[n] for n in packed])
-        los = array(
-            "i", [slot[lo_arr[n] >> 1] << 1 | lo_arr[n] & 1 for n in packed]
-        )
-        his = array("i", [slot[hi_arr[n] >> 1] << 1 for n in packed])
-        return lib.ss_new(
-            self.num_vars, len(packed), _address(variables), _address(los),
-            _address(his), slot[edge >> 1] << 1 | edge & 1,
-        )
-
     def _move_to_order(self, order: Sequence[int]) -> None:
         """Move to ``order`` (top to bottom) by adjacent swaps, one
         variable at a time from the top, as ``move_var_to_level`` does."""

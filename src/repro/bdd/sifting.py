@@ -61,16 +61,17 @@ on positions not yet measured:
   manager's counts over every held root, and the shared manager then
   moves to the order the pass found, unless it is unchanged.  Its swap
   counters take over the private ones, so they count every swap made;
-* **native store** — that private store is C (:mod:`repro.bdd.native`)
-  whenever the local ``cc`` builds it: the same canonical form, with no
-  caches and no handles, and a size read is a walk of ``f``'s edges.  A
-  pass on it is one C call, ``ss_sift_pass``, handed the block layout,
-  the schedule ranked here, the packed precedence constraints and
-  ``max_growth``; it takes the decisions of :func:`_sift_pass` with the
-  same swaps and skips, keeps the clean blocks' orders across the passes
-  of one sift, and returns the samples a profile takes.  :func:`_sift_pass`
-  stays the oracle the tests hold the C pass to, and the engine of the
-  Python copy, which runs without a compiler, and of in-place sifts.
+* **a pass in C** — that private store is a manager of the shared one's
+  engine, so it is a native kernel store (:mod:`repro.bdd.kernel`)
+  whenever the local ``cc`` builds the kernel.  A pass there is one C
+  call, ``bk_sift_pass``, handed the block layout, the schedule ranked
+  here, the packed precedence constraints and ``max_growth``; it takes
+  the decisions of :func:`_sift_pass` with the kernel's own swaps, size
+  walks, checkpoints and rollbacks, keeps the clean blocks' orders across
+  the passes of one sift, and returns the samples a profile takes.
+  :func:`_sift_pass` stays the oracle the tests hold the C pass to, and
+  the engine of the Python manager, which runs without a compiler, and
+  of in-place sifts.
 
 The final orders, returned orders and sizes are those of the return-trip
 engine, which swaps through every leg (kept as the reference in the test
@@ -82,11 +83,9 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, chain
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-    Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-from . import native
 from .manager import BddManager, SizeProbe
 
 __all__ = ["PrecedenceConstraints", "sift", "sift_to_convergence", "move_var_to_level"]
@@ -249,10 +248,10 @@ def sift(
     positions the descent measured is replayed from the recorded sizes,
     and a block returns to its start by rolling the store back to a
     checkpoint taken when its sift began.  A bare ``SizeProbe`` of ``f``
-    is read on a private copy of ``f`` (native when it builds), where the
-    pass explores, and the manager then moves to the order found.  Handle
-    deaths queued while the pass runs are applied after it returns (see
-    the module docstring).
+    is read on a private copy of ``f``, where the pass explores (in one C
+    call on the native kernel), and the manager then moves to the order
+    found.  Handle deaths queued while the pass runs are applied after it
+    returns (see the module docstring).
 
     ``profile`` (a :class:`repro.obs.SiftProfile`) receives one sample per
     block placement — the reorder-over-time trajectory.
@@ -265,28 +264,30 @@ def sift(
         )
 
 
-def _exploration(manager: BddManager, metric) -> Tuple[Any, Callable[[], int]]:
+def _exploration(
+    manager: BddManager, metric
+) -> Tuple[BddManager, Callable[[], int]]:
     """The store a sift explores on, and the metric read there.
 
     A bare :class:`SizeProbe` of ``f`` reads ``f`` alone, so the sift
     explores on a private copy of ``f`` with the manager's variables and
-    order: the native store, or a Python manager when that did not build.
-    Its swap and ITE counters start from the manager's, so the samples a
-    profile takes there read sift totals and the manager's ITE hit rate.
-    Any other metric may read any root, and the sift explores in place.
+    order (:meth:`~repro.bdd.BddManager._copy_function`, a manager of the
+    same engine).  Its swap and ITE counters start from the manager's, so
+    the samples a profile takes there read sift totals and the manager's
+    ITE hit rate.  Any other metric may read any root, and the sift
+    explores in place.
     """
     if metric is None:
         return manager, manager.live_node_count
     if type(metric) is not SizeProbe or metric.function.manager is not manager:
         return manager, metric
-    lib = native.sift_library()
-    if lib is not None:
-        native_store = native.NativeStore(lib, metric.function)
-        return native_store, native_store.size
     root = manager._copy_function(metric.function)
     store = root.manager
-    store.swap_count, store.swap_skips = manager.swap_count, manager.swap_skips
-    store.ite_hits, store.ite_misses = manager.ite_hits, manager.ite_misses
+    counters = manager.counters()
+    store.swap_count = counters["swaps"]
+    store.swap_skips = counters["swap_skips"]
+    store.ite_hits = counters["ite_cache_hits"]
+    store.ite_misses = counters["ite_cache_misses"]
     return store, SizeProbe(root)
 
 
@@ -303,9 +304,10 @@ def _pass(
     """One pass exploring on ``store``; the caller has collected
     ``manager`` and holds the roots of both.
 
-    The schedule is ranked by ``manager``'s counts over every root.  After
-    a pass on a private store, ``manager`` takes over its swap counters
-    and moves to its order.
+    The schedule is ranked by ``manager``'s counts over every root.  A
+    pass on a private store is one C call on the native kernel; after it,
+    ``manager`` takes over the store's swap counters and moves to its
+    order.
     """
     counts = manager.reachable_counts_by_var()
     if store is manager:
@@ -313,16 +315,19 @@ def _pass(
             manager, constraints, groups, max_growth, metric, profile, clean,
             counts,
         )
-    if isinstance(store, native.NativeStore):
-        _native_pass(store, constraints, groups, max_growth, profile, counts)
-        size = metric()
+    if store._native:
+        size, swaps, skips = _native_pass(
+            store, metric.function.id, constraints, groups, max_growth,
+            profile, counts,
+        )
     else:
         store.collect()
         size = _sift_pass(
             store, constraints, groups, max_growth, metric, profile, clean,
             counts,
         )
-    manager.swap_count, manager.swap_skips = store.swap_count, store.swap_skips
+        swaps, skips = store.swap_count, store.swap_skips
+    manager.swap_count, manager.swap_skips = swaps, skips
     order = store.current_order()
     if order != manager.current_order():
         manager._move_to_order(order)
@@ -331,14 +336,17 @@ def _pass(
 
 
 def _native_pass(
-    store: native.NativeStore,
+    store: BddManager,
+    edge: int,
     constraints: Optional[PrecedenceConstraints],
     groups: Optional[Sequence[Sequence[int]]],
     max_growth: float,
     profile,
     counts: List[int],
-) -> None:
-    """:func:`_sift_pass` in one C call on the native store.
+) -> Tuple[int, int, int]:
+    """:func:`_sift_pass` in one C call on a private kernel store whose
+    one root is ``edge``: the root's final size, and the store's swaps
+    and skips.
 
     The blocks, their schedule by ``counts`` and every decision are
     :func:`_sift_pass`'s; the store keeps the clean blocks' orders.  The
@@ -354,13 +362,14 @@ def _native_pass(
     relations = None
     if constraints is not None:
         relations = constraints._packed(store.num_vars)
-    samples = store.sift_pass(
-        blocks, schedule, relations, max_growth, profile is not None
+    size, swaps, skips, samples = store._sift_blocks(
+        edge, blocks, schedule, relations, max_growth, profile is not None
     )
-    for size, swaps, counters in samples:
-        profile.sample("block", size, swaps, counters)
+    for block_size, counters in samples:
+        profile.sample("block", block_size, counters["swaps"], counters)
     if constraints is not None:
         assert constraints.is_satisfied(store), "sifting violated constraints"
+    return size, swaps, skips
 
 
 def _sift_pass(
@@ -515,7 +524,8 @@ def sift_to_convergence(
     with manager._roots_held(), store._roots_held():
         size = metric()
         if profile is not None:
-            profile.start(size, store.swap_count, store.counters())
+            counters = store.counters()
+            profile.start(size, counters["swaps"], counters)
         clean: Dict[FrozenSet[int], List[int]] = {}
         try:
             for _ in range(max_passes):
@@ -525,15 +535,13 @@ def sift_to_convergence(
                     clean,
                 )
                 if profile is not None:
-                    profile.sample(
-                        "pass", new_size, store.swap_count, store.counters()
-                    )
+                    counters = store.counters()
+                    profile.sample("pass", new_size, counters["swaps"], counters)
                 if new_size >= size:
                     return new_size
                 size = new_size
             return size
         finally:
             if profile is not None:
-                profile.sample(
-                    "end", metric(), store.swap_count, store.counters()
-                )
+                counters = store.counters()
+                profile.sample("end", metric(), counters["swaps"], counters)

@@ -308,8 +308,8 @@ def _bench_scenario_errors(
                 errors.append(f"{where}: baseline.wall_s must be a number")
             if not isinstance(sc.get("speedup"), (int, float)):
                 errors.append(f"{where}: baseline present but no speedup")
-    # Optional: the same scenario timed on the Python private store,
-    # interleaved with the native runs of wall_s.
+    # Optional: the same scenario timed on the Python manager, the engine
+    # without a compiler, interleaved with the native runs of wall_s.
     if "python_wall_s" in sc or "engine_speedup" in sc:
         python_wall = sc.get("python_wall_s")
         if not isinstance(python_wall, (int, float)) or python_wall < 0:

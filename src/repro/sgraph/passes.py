@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
-from ..bdd.native import sift_engine
 from ..obs import SiftProfile
 from ..pipeline.passes import Pass, PassContext, PassManager
 from ..synthesis.reactive import ReactiveFunction
@@ -90,10 +89,6 @@ class OrderPass(Pass):
             # compiler could build it.
             "bdd_engine": "native" if rf.manager._native else "python",
         }
-        if scheme in ("sift", "sift-strict"):
-            # The store the sift explored on: the C one, or the Python one
-            # when no compiler could build it.
-            metrics["sift_engine"] = sift_engine()
         if profile is not None:
             metrics.update(profile.summary())
             # Per-sample curve (size, swaps, ITE hit rate, live nodes)

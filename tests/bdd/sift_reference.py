@@ -14,22 +14,22 @@ The *sift corpus* is every machine of ``examples/rsl``, the first 300
 build-cold benchmark corpus, each sifted with both constraint schemes,
 plus the three live-node functions of ``benchmarks/bench_bdd_engine.py``.
 The tier-1 tests sift a fixed part of it; the whole of it, with its swap
-totals pinned, runs once per engine of the library's private store (the
-native C store and the Python one, see :func:`engine`) as::
+totals pinned, runs once per BDD kernel (the native one, whose sifting
+passes run in C, and the Python manager, see :mod:`tests.bdd.engines`)
+as::
 
     PYTHONPATH=src python -m tests.bdd.sift_reference
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
 import random
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bdd import BddManager, SizeProbe, apply_order, native, sift_to_convergence
+from repro.bdd import BddManager, SizeProbe, apply_order, sift_to_convergence
 from repro.bdd.sifting import (
     PrecedenceConstraints,
     _block_index_bounds,
@@ -41,6 +41,8 @@ from repro.frontend import compile_source
 from repro.sgraph.build import default_order
 from repro.sgraph.orderings import naive_order
 from repro.synthesis import synthesize_reactive
+
+from .engines import ENGINES, engine
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -71,10 +73,8 @@ BUILD_COLD_CASES = 64
 
 LIVE_NODE_FUNCTIONS = ("small", "stress", "independent")
 
-ENGINES = ("native", "python")
-
 #: (reference, library) swap totals of each part of the whole corpus, the
-#: same for both engines.
+#: same for both kernels.
 #: The library column was re-pinned when sifting by a size probe moved to
 #: a private copy of χ: examples 6072 -> 6466, fuzz 24383 -> 26454 and
 #: build-cold 12442 -> 13363.  The exploration swaps are unchanged; the
@@ -87,23 +87,6 @@ CORPUS_SWAPS = {
     "build-cold": (28539, 13363),
     "live-node": (6977, 2953),
 }
-
-
-@contextlib.contextmanager
-def engine(name: str) -> Iterator[None]:
-    """Sift on the ``"native"`` or the ``"python"`` private store in the block.
-
-    Patches the loader's process-wide result; the native engine must load.
-    """
-    loaded = native.sift_library()
-    if name == "native" and loaded is None:
-        raise RuntimeError("the native sift store did not build or load")
-    saved = native._sift_library
-    native._sift_library = loaded if name == "native" else None
-    try:
-        yield
-    finally:
-        native._sift_library = saved
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +270,7 @@ def crosscheck_machine(cfsm) -> Tuple[int, int]:
     totals = [0, 0]
     for strict in (False, True):
         outcomes = []
-        for engine, run in enumerate((reference_sift_to_convergence, sift_to_convergence)):
+        for which, run in enumerate((reference_sift_to_convergence, sift_to_convergence)):
             rf = synthesize_reactive(cfsm)
             naive_order(rf)
             manager = rf.manager
@@ -302,7 +285,7 @@ def crosscheck_machine(cfsm) -> Tuple[int, int]:
             )
             manager.check()
             swaps = manager.swap_count - before
-            totals[engine] += swaps
+            totals[which] += swaps
             outcomes.append((
                 [manager.var_name(v) for v in manager.current_order()],
                 default_order(rf),
@@ -353,7 +336,7 @@ def crosscheck_corpus() -> Dict[str, Tuple[int, int]]:
 
 
 def main() -> int:
-    """Cross-check the whole corpus with each engine against the pins."""
+    """Cross-check the whole corpus on each kernel against the pins."""
     status = 0
     for name in ENGINES:
         with engine(name):

@@ -7,8 +7,10 @@ work counter, and both must pass ``check()``.  Then the cache policy the
 counters rest on, on both engines: each standard triple's rotation hits
 its entry, and a hit on a slot a swap freed is a miss.  Then: a kernel
 that fails to build or load runs the Python engine with the same bytes,
-a failed allocation raises ``MemoryError`` and leaves a valid store, and
-a dropped manager frees its C store without the cyclic collector.
+a failed allocation raises ``MemoryError`` and leaves a valid store, a
+sift that runs out of memory in its copy of χ or in a pass leaves its
+manager as it was, and a dropped manager frees its C store without the
+cyclic collector.
 """
 
 import copy
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import dashboard_network
-from repro.bdd import BddManager, native
+from repro.bdd import BddManager, SizeProbe, native, sift
 from repro.bdd.sifting import move_var_to_level
 from repro.flow import build_system
 from repro.pipeline import BuildTrace
@@ -227,8 +229,9 @@ def test_walkers_and_copies_agree():
 
 @needs_kernel
 def test_a_small_function_among_many_variables_packs():
-    """More variables than the store has slots: packing for a copy and
-    for the sift store must not outgrow the kernel's scratch space."""
+    """More variables than the store has slots: packing for a copy, and
+    the scratch of a sifting pass on it, must not outgrow the kernel's
+    scratch space, which is sized by the slots."""
     with engine("native"):
         m = BddManager()
     for i in range(300):
@@ -238,9 +241,9 @@ def test_a_small_function_among_many_variables_packs():
     assert twin.size() == f.size() == 4
     assert twin.manager.current_order() == m.current_order()
     twin.manager.check()
-    lib = native.sift_library()
-    if lib is not None:
-        assert native.NativeStore(lib, f).size() == f.size()
+    assert sift(m, metric=SizeProbe(f)) == f.size()
+    assert m.current_order() == list(range(300))
+    m.check()
     with pytest.raises(TypeError):  # a copy would free the C store twice
         copy.copy(m)
 
@@ -268,7 +271,6 @@ def refuse_to_load(path, *args, **kwargs):
 def test_a_failed_build_or_load_runs_the_python_engine(failure, tmp_path, monkeypatch):
     want, engines = dashboard_build(tmp_path / "native")
     assert engines and set(engines) == {"native"}
-    native.sift_library()  # loaded before the loader is refused
     source = tmp_path / "src" / native.KERNEL_SOURCE.name
     source.parent.mkdir()
     text = native.KERNEL_SOURCE.read_text(encoding="utf-8")
@@ -323,22 +325,84 @@ print("valid after MemoryError")
 """
 
 
-@needs_kernel
-@pytest.mark.skipif(
+needs_rlimit = pytest.mark.skipif(
     "asan" in os.environ.get("LD_PRELOAD", "") or not sys.platform.startswith("linux"),
     reason="needs RLIMIT_AS and /proc (AddressSanitizer reserves address space)",
 )
-def test_a_failed_allocation_raises_memory_error_and_leaves_a_valid_store():
-    """Some 2.3 million nodes do not fit in 48 MiB more address space: the
-    kernel's arrays fail to grow, the call raises ``MemoryError``, and the
-    store still passes ``check()``, before and after a collect."""
+
+
+def run_limited(script, *args):
+    """Run ``script`` in a fresh interpreter; its standard output."""
     done = subprocess.run(
-        [sys.executable, "-c", OUT_OF_MEMORY],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "valid after MemoryError\n"
+    return done.stdout
+
+
+@needs_kernel
+@needs_rlimit
+def test_a_failed_allocation_raises_memory_error_and_leaves_a_valid_store():
+    """Some 2.3 million nodes do not fit in 48 MiB more address space: the
+    kernel's arrays fail to grow, the call raises ``MemoryError``, and the
+    store still passes ``check()``, before and after a collect."""
+    assert run_limited(OUT_OF_MEMORY) == "valid after MemoryError\n"
+
+
+SIFT_OUT_OF_MEMORY = """
+import random, resource, sys, traceback
+from repro.bdd import BddManager, SizeProbe, kernel, sift_to_convergence
+
+m = BddManager()
+assert m._native
+variables = [m.new_var() for _ in range(40)]
+rng = random.Random(1)
+chi = m.assignments(variables, [rng.getrandbits(40) for _ in range(100_000)])
+assert chi.size() == 806_442
+order = m.current_order()
+live = kernel.live_objects()
+
+
+def address_space():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1]) * 1024
+
+
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(
+    resource.RLIMIT_AS, (address_space() + (int(sys.argv[1]) << 20), hard)
+)
+try:
+    sift_to_convergence(m, metric=SizeProbe(chi))
+except MemoryError as error:
+    failed = error
+else:
+    failed = None
+finally:
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+assert failed is not None, "the sift never ran out of room"
+where = [frame.name for frame in traceback.extract_tb(failed.__traceback__)]
+del failed
+assert m.current_order() == order
+m.check()
+assert kernel.live_objects() == live, (kernel.live_objects(), live)
+print(where[-2])
+"""
+
+
+@needs_kernel
+@needs_rlimit
+@pytest.mark.parametrize("mib, where", [(32, "_copy_function"), (104, "_sift_blocks")])
+def test_a_sift_out_of_memory_leaves_the_manager_as_it_was(mib, where):
+    """χ of 806,442 nodes: its private copy does not fit in 32 MiB more
+    address space, and the copy's first pass, which grows it, does not fit
+    in 104 MiB.  Either ``MemoryError`` leaves the manager at its order,
+    valid, and frees the private store."""
+    assert run_limited(SIFT_OUT_OF_MEMORY, str(mib)) == f"{where}\n"
 
 
 @needs_kernel

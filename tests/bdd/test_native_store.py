@@ -1,100 +1,47 @@
-"""The native sift store reads what the Python private store reads.
+"""The sifting pass in C takes the decisions of the Python pass loop.
 
-:class:`repro.bdd.native.NativeStore` holds one function in C.  Driven
-one operation at a time, under any sequence of swaps, checkpoints and
-rollbacks, it must read the sizes, live-node counts, orders and
-interaction fast-path skips of the Python private store
-(``BddManager._copy_function``) driven the same way.  Those operations are
-what its C sifting pass (``ss_sift_pass``) is built from, and sifting on
-either store, the C pass against the Python pass loop, must take the same
-decisions, profile the same timeline and leave the shared manager with the
-same counters.
+A sift by a bare size probe explores on a private copy of χ
+(``BddManager._copy_function``), a manager of the shared one's engine.
+On the native kernel each pass there is one C call (``bk_sift_pass``,
+run by ``sifting._native_pass``); on the Python manager it is
+``sifting._sift_pass``, the C pass's oracle.  Sifting on either kernel
+must take the same decisions, profile the same samples (the sizes and
+the counters a timeline reads) and leave the shared manager with the
+same counters, and every private store must be freed.  The copies a
+pass explores on read alike on both kernels under scripted swaps,
+checkpoints and rollbacks; random programs of them are
+``test_kernel_engines``'s.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager, SizeProbe, native, sift, sift_to_convergence
+from repro.bdd import (
+    BddManager,
+    SizeProbe,
+    kernel,
+    native,
+    sift,
+    sift_to_convergence,
+)
 from repro.frontend import compile_source
 from repro.obs import SiftProfile
 from repro.sgraph import sifted_order
 from repro.synthesis import synthesize_reactive
 
+from .engines import ENGINES, engine
 from .sift_reference import (
-    ENGINES,
     EXAMPLES,
     REPO,
     build_cold_machine,
-    engine,
     example_machine,
     fuzz_machine,
 )
-from .test_property import N_VARS, boolexprs, build_bdd
 
 pytestmark = pytest.mark.skipif(
-    native.sift_library() is None, reason="the native sift store did not build"
+    native.kernel_library() is None, reason="the native BDD kernel did not build"
 )
 
-EXTRA_VARS = 3
-LEVELS = N_VARS + EXTRA_VARS
-
-steps = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("swap"), st.integers(0, LEVELS - 2), st.booleans()
-        ),
-        st.just(("checkpoint",)),
-        st.just(("rollback",)),
-    ),
-    max_size=40,
-)
-
-
-def stores(root):
-    """``root`` alone in a native store and in a Python private store."""
-    return (
-        native.NativeStore(native.sift_library(), root),
-        root.manager._copy_function(root),
-    )
-
-
-def assert_same(store, copy):
-    python = copy.manager
-    assert store.current_order() == python.current_order()
-    assert [store.level_of(v) for v in range(LEVELS)] == [
-        python.level_of(v) for v in range(LEVELS)
-    ]
-    assert store.size() == copy.size() == SizeProbe(copy)()
-    assert store.live_node_count() == python.live_node_count()
-    assert store.swap_skips == python.swap_skips
-    assert store.swap_count == python.swap_count
-
-
-def drive(root, script):
-    store, copy = stores(root)
-    python = copy.manager
-    assert store.interaction_pairs() == python.interaction_pairs()
-    assert_same(store, copy)
-    pairs = python.interaction_pairs()
-    checkpoints = None
-    with python._roots_held():
-        for step in script:
-            if step[0] == "swap":
-                _, level, fast = step
-                interaction = pairs if fast else None
-                store.swap_levels(level, interaction)
-                python.swap_levels(level, interaction)
-            elif step[0] == "checkpoint":
-                checkpoints = store._checkpoint(), python._checkpoint()
-            elif checkpoints is not None:
-                store._rollback(checkpoints[0])
-                python._rollback(checkpoints[1])
-            assert_same(store, copy)
-        if checkpoints is not None:
-            store._rollback(checkpoints[0], last=True)
-            python._rollback(checkpoints[1], last=True)
-            assert_same(store, copy)
-    python.check()
+LEVELS = 9
 
 
 def named_manager():
@@ -104,42 +51,83 @@ def named_manager():
     return m
 
 
-@settings(max_examples=80, deadline=None)
-@given(boolexprs(), steps)
-def test_swaps_checkpoints_and_rollbacks_read_as_in_python(tree, script):
-    m = named_manager()
-    f = build_bdd(tree, m)
-    g = m.var(N_VARS) & (m.var(N_VARS + 1) | ~m.var(N_VARS + 2))
-    for root in (f, ~f, f | g):
-        drive(root, script)
-    assert m.current_order() == list(range(LEVELS))
+# -- the copies a pass explores on ---------------------------------------------
+
+
+def assert_same(copies):
+    (native_copy, python_copy) = copies
+    a, b = native_copy.manager, python_copy.manager
+    assert a._native and not b._native
+    assert a.current_order() == b.current_order()
+    assert native_copy.size() == python_copy.size() == SizeProbe(python_copy)()
+    assert a.counters() == b.counters()
+
+
+def drive(build, script):
+    """Copy the root ``build`` makes on each kernel, run ``script`` on both
+    copies, and compare them after every step."""
+    copies = []
+    for name in ENGINES:
+        with engine(name):
+            m = named_manager()
+            copies.append(m._copy_function(build(m)))
+    stores = [copy.manager for copy in copies]
+    pairs = stores[1].interaction_pairs()
+    assert stores[0].interaction_pairs() == pairs
+    assert_same(copies)
+    checkpoints = None
+    with stores[0]._roots_held(), stores[1]._roots_held():
+        for step in script:
+            if step[0] == "swap":
+                _, level, fast = step
+                for store in stores:
+                    store.swap_levels(level, pairs if fast else None)
+            elif step[0] == "checkpoint":
+                checkpoints = [store._checkpoint() for store in stores]
+            elif checkpoints is not None:
+                for store, cp in zip(stores, checkpoints):
+                    store._rollback(cp)
+            assert_same(copies)
+        if checkpoints is not None:
+            for store, cp in zip(stores, checkpoints):
+                store._rollback(cp, last=True)
+            assert_same(copies)
+    for store in stores:
+        store.check()
 
 
 def test_constants_and_complemented_roots():
-    m = named_manager()
     script = [("swap", level, fast) for level in range(LEVELS - 1)
               for fast in (True, False)]
-    for root in (m.true, m.false):
-        store, _ = stores(root)
-        assert store.size() == 1 and store.live_node_count() == 0
-        assert store.interaction_pairs() == set()
-        drive(root, script + [("checkpoint",), ("swap", 0, False), ("rollback",)])
-    f = (m.var(0) ^ m.var(3)) | (m.var(1) & ~m.var(2))
-    complemented = f if f.id & 1 else ~f
-    assert complemented.id & 1
-    drive(complemented, script[::-1] + [("checkpoint",)] + script + [("rollback",)] * 2)
+    for value in (True, False):
+        drive(
+            lambda m: m.constant(value),
+            script + [("checkpoint",), ("swap", 0, False), ("rollback",)],
+        )
+
+    def complemented(m):
+        f = (m.var(0) ^ m.var(3)) | (m.var(1) & ~m.var(2))
+        f = f if f.id & 1 else ~f
+        assert f.id & 1
+        return f
+
+    drive(
+        complemented,
+        script[::-1] + [("checkpoint",)] + script + [("rollback",)] * 2,
+    )
 
 
 def test_repeated_rollbacks_to_one_checkpoint():
-    m = named_manager()
-    f = (m.var(0) & m.var(4)) | (m.var(1) & m.var(3)) | (m.var(2) ^ m.var(5))
     script = [("checkpoint",)]
     for level in (0, 1, 2, 3, 4, 2, 0):
         script += [("swap", level, True), ("swap", level + 1, False), ("rollback",)]
-    drive(f, script)
+    drive(
+        lambda m: (m.var(0) & m.var(4)) | (m.var(1) & m.var(3)) | (m.var(2) ^ m.var(5)),
+        script,
+    )
 
 
-# -- sifting on either store ---------------------------------------------------
+# -- sifting on either kernel --------------------------------------------------
 
 
 class CountingProfile(SiftProfile):
@@ -151,7 +139,19 @@ class CountingProfile(SiftProfile):
 
     def sample(self, phase, size, swaps, counters=None):
         super().sample(phase, size, swaps, counters)
-        self.live.append(native.live_objects)
+        self.live.append(kernel.live_objects())
+
+
+#: The counters the C pass samples after each block.
+SAMPLED = ("swaps", "swap_skips", "live_nodes", "ite_cache_hits", "ite_cache_misses")
+
+
+def samples(profile):
+    """Every sample but its wall, with the counters the C pass samples."""
+    return [
+        (s.phase, s.size, s.swaps, {key: s.counters[key] for key in SAMPLED})
+        for s in profile.samples
+    ]
 
 
 def example_sifts(profile_type=SiftProfile):
@@ -170,6 +170,7 @@ def example_sifts(profile_type=SiftProfile):
                 "levels": rf.manager.current_order(),
                 "chi": rf.chi.size(),
                 "timeline": profile.timeline(),
+                "samples": samples(profile),
                 "counters": rf.manager.counters(),
                 "profile": profile,
             })
@@ -188,12 +189,12 @@ def test_both_engines_sift_the_examples_alike():
 
 
 def test_native_stores_and_checkpoints_are_freed():
-    before = native.live_objects
+    before = kernel.live_objects()
     with engine("native"):
         outcomes = example_sifts(CountingProfile)
     live = [n for outcome in outcomes for n in outcome["profile"].live]
-    assert max(live) >= before + 2  # a store and a block's checkpoint
-    assert native.live_objects == before
+    assert max(live) >= before + 2  # the shared manager and its private copy
+    assert kernel.live_objects() == before
 
 
 # -- the paths the example sifts above do not take ----------------------------
@@ -203,14 +204,15 @@ GROUPED = ("wheel_filter", "speedo", "odometer", "tacho", "belt_alarm", "diagnos
 
 
 def on_both_engines(run):
-    """``run()`` on each engine: the outcomes must be equal and every
-    native store and checkpoint freed."""
+    """``run()`` on each kernel: the outcomes must be equal and every
+    native store freed."""
+    before = kernel.live_objects()
     outcomes = []
     for name in ENGINES:
         with engine(name):
             outcomes.append(run())
     assert outcomes[0] == outcomes[1]
-    assert native.live_objects == 0
+    assert kernel.live_objects() == before
     return outcomes[0]
 
 
@@ -230,7 +232,7 @@ def sift_outcome(rf, sifter, strict, profile, **options):
         "size": size,
         "swaps": manager.swap_count,
         "swap_skips": manager.swap_skips,
-        "timeline": None if profile is None else profile.timeline(),
+        "samples": None if profile is None else samples(profile),
         "counters": manager.counters(),
     }
 
@@ -251,7 +253,7 @@ def test_one_pass_sifts_alike():
 
     outcomes = on_both_engines(run)
     assert sum(o["swaps"] for o in outcomes) > 0
-    assert any(len(o["timeline"]) > 1 for o in outcomes)
+    assert any(len(o["samples"]) > 1 for o in outcomes)
 
 
 def test_strict_constraints_with_groups_sift_alike():

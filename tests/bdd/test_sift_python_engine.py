@@ -1,15 +1,16 @@
-"""The sift cross-checks again, on the Python private store.
+"""The sift cross-checks again, on the Python manager.
 
-Sifting explores on the native store whenever it builds and loads; the
-Python store (``BddManager._copy_function``) is its oracle and the
-fallback without a compiler.  This module re-runs the tier-1 tests of
-``test_sift_reference`` and the sifting tests of
-``test_sift_private_store`` with the Python store forced.
+A sift by a bare size probe explores on a private copy of χ, a manager of
+the shared one's engine: on the native kernel each pass is one C call,
+on the Python manager it is ``sifting._sift_pass``, the C pass's oracle
+and the engine without a compiler.  This module re-runs the tier-1 tests
+of ``test_sift_reference`` and the sifting tests of
+``test_sift_private_store`` with the Python manager forced.
 """
 
 import pytest
 
-from .sift_reference import engine
+from .engines import engine
 from .test_sift_private_store import (  # noqa: F401 - collected here again
     test_private_sift_matches_in_place_sift,
     test_private_sift_ranks_blocks_by_every_root,

@@ -233,7 +233,7 @@ class TestBddBenchValidation:
         for name in ("stress", "chi"):
             scenario = doc["sift"][name]
             assert "baseline" in scenario and "speedup" in scenario, name
-        # The chi scenario times the native and the Python private store,
+        # The chi scenario times the native kernel and the Python manager,
         # interleaved in one process.
         chi = doc["sift"]["chi"]
         assert chi["python_wall_s"] > 0 and chi["engine_speedup"] > 0
