@@ -42,13 +42,13 @@ manager's, whose passes run ``sifting._sift_pass``, from best-of runs of
 the two alternating in the same process, so both see the same host;
 ``engine_speedup`` is their ratio.  Both must read the same counters.
 
-The ``kernel`` section times two steps on both BDD kernels:
-``reactive`` (below) and ``chi`` (the sift above), each the best of
-``BEST_OF`` runs alternating the native kernel and the Python manager in
-the same process, so both see the same host period.  ``wall_s`` is the
-native kernel's, ``python_wall_s`` the Python manager's, and
-``kernel_speedup`` their ratio; both kernels must read the same
-counters.
+The ``kernel`` section times ``reactive`` (below) on both BDD kernels,
+the best of ``BEST_OF`` runs alternating the native kernel and the
+Python manager in the same process, so both see the same host period.
+``wall_s`` is the native kernel's, ``python_wall_s`` the Python
+manager's, and ``kernel_speedup`` their ratio; both kernels must read
+the same counters.  The ``chi`` sift is timed on both kernels once, by
+its scenario above.
 
 The ``reactive`` section times the step before sifting,
 ``synthesize_reactive`` (care set, conditions, χ) over the 17 example
@@ -410,23 +410,6 @@ def _reactive_once(machines):
     return wall, (chi_size, ite_misses, peak_nodes)
 
 
-def _chi_once(machine):
-    """One ``chi`` sift on a fresh reactive function: wall and counters."""
-    from repro.sgraph import sifted_order
-    from repro.synthesis import synthesize_reactive
-
-    rf = synthesize_reactive(machine)
-    manager = rf.manager
-    before = manager.swap_count, manager.swap_skips, manager.collect_count
-    t0 = time.perf_counter()
-    sifted_order(rf)
-    wall = time.perf_counter() - t0
-    return wall, (
-        manager.swap_count - before[0], manager.swap_skips - before[1],
-        manager.collect_count - before[2], rf.chi.size(),
-    )
-
-
 def _example_machines():
     from repro.frontend import compile_source
 
@@ -437,17 +420,12 @@ def _example_machines():
 
 
 def _kernel_scenario():
-    """``reactive`` and ``chi`` on both kernels, alternating in one process.
+    """``reactive`` on both kernels, alternating in one process.
 
     Each leg is the best of BEST_OF runs per kernel; the counters must be
     the same in every run of either.
     """
-    from repro.apps import shock_network
-
-    legs = {
-        "reactive": (_reactive_once, _example_machines()),
-        "chi": (_chi_once, shock_network().machine("damping_logic")),
-    }
+    legs = {"reactive": (_reactive_once, _example_machines())}
     report = {}
     for leg, (once, arg) in legs.items():
         walls = {name: [] for name in ("native", "python")}

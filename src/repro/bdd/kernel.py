@@ -73,6 +73,11 @@ _COUNTERS = (
 # A sift pass's sample: the size, then the counters a profile's timeline
 # reads (see _sift_blocks).
 _SAMPLE = 6
+# NativeManager.__getattr__ builds these on first read.
+_VIEWS = frozenset((
+    "_one", "_out", "_var", "_lo", "_hi",
+    "_c_ite", "_c_restrict", "_c_exists", "_c_mk", "_c_eval1",
+))
 
 _CHECKS = {
     1: "level maps are not inverse permutations",
@@ -157,6 +162,14 @@ class NativeManager(BddManager):
         self._handle_deaths: List[int] = []
         self._holding_deaths = False
         self._refq = array("i")
+
+    def __getattr__(self, name: str) -> Any:
+        """Build the store's Python views at the first read of one: the
+        node fields, the bound hot calls and their scratch arrays.  A
+        sift's private copy, whose passes are kernel calls, reads none."""
+        if name not in _VIEWS or not self.__dict__.get("_ptr"):
+            raise AttributeError(name)
+        lib, ptr = self._lib, self._ptr
         self._one = array("i", (0,))
         self._out = array("i", (0, 0, 0))
         self._var, self._lo, self._hi = (_Field(lib, ptr, i) for i in range(3))
@@ -166,6 +179,7 @@ class NativeManager(BddManager):
         self._c_exists = bind(lib.bk_exists, ptr)
         self._c_mk = bind(lib.bk_mk, ptr)
         self._c_eval1 = bind(lib.bk_eval1, ptr)
+        return self.__dict__[name]
 
     def __del__(self, _live: Dict[str, int] = _LIVE) -> None:
         if self._ptr:
@@ -448,6 +462,13 @@ class NativeManager(BddManager):
 
     def counters(self) -> Dict[str, int]:
         return dict(zip(_COUNTERS, self._counts()))
+
+    def sample_counters(self) -> Dict[str, int]:
+        swaps, skips, _, _, _, live, _, hits, misses = self._counts()[:9]
+        return {
+            "swaps": swaps, "swap_skips": skips, "live_nodes": live,
+            "ite_cache_hits": hits, "ite_cache_misses": misses,
+        }
 
     def live_node_count(self) -> int:
         return self._counts()[5]

@@ -2237,6 +2237,17 @@ class BddManager:
             "cache_resets": self.cache_resets,
         }
 
+    def sample_counters(self) -> Dict[str, int]:
+        """The counters a sift profile samples: those
+        :meth:`~repro.obs.SiftProfile.timeline` reads, and the swap count."""
+        return {
+            "swaps": self.swap_count,
+            "swap_skips": self.swap_skips,
+            "live_nodes": self._live_count,
+            "ite_cache_hits": self.ite_hits,
+            "ite_cache_misses": self.ite_misses,
+        }
+
     def store_stats(self) -> Dict[str, float]:
         """Memory and complement-edge statistics of the node store.
 

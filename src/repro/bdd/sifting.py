@@ -283,7 +283,7 @@ def _exploration(
         return manager, metric
     root = manager._copy_function(metric.function)
     store = root.manager
-    counters = manager.counters()
+    counters = manager.sample_counters()
     store.swap_count = counters["swaps"]
     store.swap_skips = counters["swap_skips"]
     store.ite_hits = counters["ite_cache_hits"]
@@ -419,7 +419,7 @@ def _sift_pass(
             # same sizes would be read and it would stay put again.
             if profile is not None:
                 profile.sample(
-                    "block", metric(), manager.swap_count, manager.counters()
+                    "block", metric(), manager.swap_count, manager.sample_counters()
                 )
             continue
 
@@ -492,7 +492,7 @@ def _sift_pass(
             clean[block_vars] = order
         if profile is not None:
             profile.sample(
-                "block", metric(), manager.swap_count, manager.counters()
+                "block", metric(), manager.swap_count, manager.sample_counters()
             )
 
     if constraints is not None:
@@ -524,7 +524,7 @@ def sift_to_convergence(
     with manager._roots_held(), store._roots_held():
         size = metric()
         if profile is not None:
-            counters = store.counters()
+            counters = store.sample_counters()
             profile.start(size, counters["swaps"], counters)
         clean: Dict[FrozenSet[int], List[int]] = {}
         try:
@@ -535,7 +535,7 @@ def sift_to_convergence(
                     clean,
                 )
                 if profile is not None:
-                    counters = store.counters()
+                    counters = store.sample_counters()
                     profile.sample("pass", new_size, counters["swaps"], counters)
                 if new_size >= size:
                     return new_size
@@ -543,5 +543,5 @@ def sift_to_convergence(
             return size
         finally:
             if profile is not None:
-                counters = store.counters()
+                counters = store.sample_counters()
                 profile.sample("end", metric(), counters["swaps"], counters)

@@ -217,12 +217,11 @@ class Transition:
         source: Optional[str] = None,
     ):
         self.guard = list(guard)
-        seen_keys = set()
+        seen: Set[Test] = set()  # tests are equal when their keys are
         for lit in self.guard:
-            key = lit.test.key()
-            if key in seen_keys:
+            if lit.test in seen:
                 raise ValueError(f"guard repeats test {lit.test.label()}")
-            seen_keys.add(key)
+            seen.add(lit.test)
         self.actions = list(actions)
         self.source = source
 
@@ -279,33 +278,47 @@ class Cfsm:
         if len(state_names) != len(self.state_vars):
             raise ValueError(f"{self.name}: duplicate state variable")
         valued_inputs = {e.name for e in self.inputs if e.is_valued}
+        # A test, action or expression shared by several transitions (the
+        # RSL frontend shares them) is checked once.
+        checked: Set[int] = set()
+
+        def check(expr: Expr) -> None:
+            if id(expr) not in checked:
+                checked.add(id(expr))
+                self._check_expr_names(expr, state_names, valued_inputs)
+
         for t in self.transitions:
             for lit in t.guard:
-                if isinstance(lit.test, PresenceTest):
-                    if lit.test.event.name not in input_names:
+                test = lit.test
+                if id(test) in checked:
+                    continue
+                checked.add(id(test))
+                if isinstance(test, PresenceTest):
+                    if test.event.name not in input_names:
                         raise ValueError(
                             f"{self.name}: guard tests presence of non-input "
-                            f"{lit.test.event.name}"
+                            f"{test.event.name}"
                         )
-                elif isinstance(lit.test, ExprTest):
-                    self._check_expr_names(lit.test.expr, state_names, valued_inputs)
+                elif isinstance(test, ExprTest):
+                    check(test.expr)
             for action in t.actions:
+                if id(action) in checked:
+                    continue
+                checked.add(id(action))
                 if isinstance(action, Emit):
                     if action.event.name not in output_names:
                         raise ValueError(
                             f"{self.name}: emits non-output {action.event.name}"
                         )
                     if action.value is not None:
-                        self._check_expr_names(
-                            action.value, state_names, valued_inputs
-                        )
+                        check(action.value)
                 elif isinstance(action, AssignState):
                     if action.var.name not in state_names:
                         raise ValueError(
                             f"{self.name}: assigns unknown state var "
                             f"{action.var.name}"
                         )
-                    self._check_expr_names(action.value, state_names, valued_inputs)
+                    check(action.value)
 
     def _check_expr_names(
         self, expr: Expr, state_names: Set[str], valued_inputs: Set[str]

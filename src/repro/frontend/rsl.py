@@ -41,8 +41,9 @@ compiled into snapshot-parallel CFSM actions by symbolic substitution).
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from ..cfsm.expr import BinOp, Const, EventValue, Expr, UnOp, Var
 
@@ -135,15 +136,20 @@ class Module:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One match per token, on one line: the blanks and the comment before it
+# are skipped inside the match, and a line ends in a match with no token.
+# Any other character is a token of its own, found by the check below.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*|//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<num>\d+)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<qid>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>:=|==|!=|<=|>=|\.\.|&&|\|\||[-+*/%<>()=:;,?!])
+    [ \t\r]*(?:(?:\#|//)[^\n]*)?
+    (
+        [A-Za-z_][A-Za-z0-9_]*
+      | \d+
+      | :=|==|!=|<=|>=|\.\.|&&|\|\|
+      | \?[A-Za-z_][A-Za-z0-9_]*
+      | [-+*/%<>()=:;,?!]
+      | .
+    )?
     """,
     re.VERBOSE,
 )
@@ -153,6 +159,11 @@ KEYWORDS = {
     "if", "then", "elif", "else", "end", "or", "and", "not",
     "true", "false", "int", "present",
 }
+
+_NAME_START = frozenset(string.ascii_letters + "_")
+#: The one-character tokens: a longer token never holds a character RSL
+#: rejects, and neither does one of these.
+_SINGLE = frozenset(string.ascii_letters + string.digits + "_-+*/%<>()=:;,?!")
 
 
 class PresenceExpr(Expr):
@@ -182,255 +193,274 @@ class PresenceExpr(Expr):
         return ("presence-expr", self.event_name)
 
 
-@dataclass
-class _Token:
-    kind: str  # 'num' | 'id' | 'qid' | 'op' | 'kw' | 'eof'
-    text: str
-    line: int
+def _tokenize(source: str) -> Tuple[List[str], List[int]]:
+    """The tokens' texts, ending in ``""`` for the end of the source, and
+    each one's line.
 
-
-def _tokenize(source: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line = 1
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise RslSyntaxError(f"unexpected character {source[pos]!r}", line)
-        pos = match.end()
-        kind = match.lastgroup
-        text = match.group()
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "nl":
-            line += 1
-            continue
-        if kind == "id" and text in KEYWORDS:
-            kind = "kw"
-        tokens.append(_Token(kind, text, line))
-    tokens.append(_Token("eof", "", line))
-    return tokens
+    A token's kind is read off its text: a keyword is in
+    :data:`KEYWORDS`, a name starts with a letter or ``_``, a number with
+    a digit, an event value with ``?`` and a name character, and no token
+    of another kind has an operator's text.
+    """
+    texts: List[str] = []
+    lines: List[int] = []
+    line = 0
+    for line, text in enumerate(source.split("\n"), 1):
+        found = _TOKEN_RE.findall(text)
+        found.pop()  # the match at the end of the line
+        if found and not found[-1]:
+            found.pop()  # the line's trailing blanks and comment
+        texts += found
+        lines += [line] * len(found)
+    if 1 in map(len, set(texts).difference(_SINGLE)):
+        # A one-character token that is no operator, name or digit: a
+        # character RSL rejects, or a digit outside ASCII.
+        for token, at in zip(texts, lines):
+            if len(token) == 1 and token not in _SINGLE and not token.isdecimal():
+                raise RslSyntaxError(f"unexpected character {token!r}", at)
+    texts.append("")
+    lines.append(line)
+    return texts, lines
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (recursive descent, one loop for the binary operators)
 # ---------------------------------------------------------------------------
+
+#: Binary operator token -> (operator, precedence).  ``not`` sits at 3,
+#: between ``and`` and the comparisons, which do not chain.
+_BINARY = {
+    "or": ("||", 1), "||": ("||", 1),
+    "and": ("&&", 2), "&&": ("&&", 2),
+    "==": ("==", 4), "!=": ("!=", 4), "<=": ("<=", 4), ">=": (">=", 4),
+    "<": ("<", 4), ">": (">", 4),
+    "+": ("+", 5), "-": ("-", 5),
+    "*": ("*", 6), "/": ("/", 6), "%": ("%", 6),
+}
+_NOT = 3
+_COMPARISON = 4
+_ARM_END = frozenset(("elif", "else", "end"))
+_LOOP_END = frozenset(("end",))
+
+
+def _is_name(text: str) -> bool:
+    return text[:1] in _NAME_START and text not in KEYWORDS
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
+    __slots__ = ("texts", "lines", "index")
+
+    def __init__(self, texts: List[str], lines: List[int]):
+        self.texts = texts
+        self.lines = lines
         self.index = 0
 
     # -- token helpers ------------------------------------------------------
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def _advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
-
     def _error(self, message: str) -> RslSyntaxError:
-        return RslSyntaxError(message + f" (found {self.current.text!r})", self.current.line)
+        text = self.texts[self.index]
+        return RslSyntaxError(message + f" (found {text!r})", self.lines[self.index])
 
-    def _expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        token = self.current
-        if token.kind != kind or (text is not None and token.text != text):
-            wanted = text or kind
-            raise self._error(f"expected {wanted!r}")
-        return self._advance()
+    def _expect(self, text: str) -> None:
+        """Consume the keyword or operator ``text``."""
+        if self.texts[self.index] != text:
+            raise self._error(f"expected {text!r}")
+        self.index += 1
 
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
-        token = self.current
-        if token.kind == kind and (text is None or token.text == text):
-            return self._advance()
-        return None
+    def _accept(self, text: str) -> bool:
+        if self.texts[self.index] == text:
+            self.index += 1
+            return True
+        return False
+
+    def _name(self) -> str:
+        text = self.texts[self.index]
+        if not _is_name(text):
+            raise self._error("expected 'id'")
+        self.index += 1
+        return text
+
+    def _number(self) -> int:
+        text = self.texts[self.index]
+        if not text[:1].isdecimal():
+            raise self._error("expected 'num'")
+        self.index += 1
+        return int(text)
 
     # -- grammar -----------------------------------------------------------
 
     def parse_module(self) -> Module:
-        self._expect("kw", "module")
-        name = self._expect("id").text
-        self._expect("op", ":")
+        self._expect("module")
+        name = self._name()
+        self._expect(":")
         inputs: List[InputDecl] = []
         outputs: List[OutputDecl] = []
         variables: List[VarDecl] = []
+        texts = self.texts
         while True:
-            if self._accept("kw", "input"):
+            text = texts[self.index]
+            if text == "input":
+                self.index += 1
                 inputs.append(self._parse_io(InputDecl))
-            elif self._accept("kw", "output"):
+            elif text == "output":
+                self.index += 1
                 outputs.append(self._parse_io(OutputDecl))
-            elif self._accept("kw", "var"):
+            elif text == "var":
+                self.index += 1
                 variables.append(self._parse_var())
             else:
                 break
-        self._expect("kw", "loop")
-        body = self._parse_stmts(terminators={"end"})
-        self._expect("kw", "end")
-        self._expect("kw", "end")
-        self._expect("eof")
+        self._expect("loop")
+        body = self._parse_stmts(_LOOP_END)
+        self._expect("end")
+        self._expect("end")
+        if texts[self.index]:
+            raise self._error("expected 'eof'")
         return Module(name, inputs, outputs, variables, body)
 
     def _parse_io(self, cls):
-        name = self._expect("id").text
+        name = self._name()
         width: Optional[int] = None
-        if self._accept("op", ":"):
-            self._expect("kw", "int")
-            self._expect("op", "(")
-            width = int(self._expect("num").text)
-            self._expect("op", ")")
-        self._expect("op", ";")
+        if self._accept(":"):
+            self._expect("int")
+            self._expect("(")
+            width = self._number()
+            self._expect(")")
+        self._expect(";")
         return cls(name, width)
 
     def _parse_var(self) -> VarDecl:
-        name = self._expect("id").text
-        self._expect("op", ":")
-        low = int(self._expect("num").text)
-        self._expect("op", "..")
-        high = int(self._expect("num").text)
+        name = self._name()
+        self._expect(":")
+        low = self._number()
+        self._expect("..")
+        high = self._number()
         init = 0
-        if self._accept("op", "="):
-            init = int(self._expect("num").text)
-        self._expect("op", ";")
+        if self._accept("="):
+            init = self._number()
+        self._expect(";")
         if low != 0:
             raise self._error("variable domains must start at 0")
         if high < 1:
             raise self._error("variable domain needs at least two values")
         return VarDecl(name, low, high, init)
 
-    def _parse_stmts(self, terminators) -> List[Stmt]:
+    def _parse_stmts(self, terminators: FrozenSet[str]) -> List[Stmt]:
         stmts: List[Stmt] = []
-        while not (self.current.kind == "kw" and self.current.text in terminators):
+        texts = self.texts
+        while texts[self.index] not in terminators:
             stmts.append(self._parse_stmt())
         return stmts
 
     def _parse_stmt(self) -> Stmt:
-        token = self.current
-        if self._accept("kw", "await"):
-            events = [self._expect("id").text]
-            while self._accept("kw", "or"):
-                events.append(self._expect("id").text)
-            self._expect("op", ";")
-            return Await(events, token.line)
-        if self._accept("kw", "emit"):
-            name = self._expect("id").text
+        texts = self.texts
+        text = texts[self.index]
+        line = self.lines[self.index]
+        if text == "await":
+            self.index += 1
+            events = [self._name()]
+            while texts[self.index] == "or":
+                self.index += 1
+                events.append(self._name())
+            self._expect(";")
+            return Await(events, line)
+        if text == "emit":
+            self.index += 1
+            name = self._name()
             value: Optional[Expr] = None
-            if self._accept("op", "("):
-                value = self._parse_expr()
-                self._expect("op", ")")
-            self._expect("op", ";")
-            return EmitStmt(name, value, token.line)
-        if self._accept("kw", "if"):
-            return self._parse_if(token.line)
-        if token.kind == "id":
-            name = self._advance().text
-            self._expect("op", ":=")
-            value = self._parse_expr()
-            self._expect("op", ";")
-            return Assign(name, value, token.line)
+            if self._accept("("):
+                value = self._parse_expr(1)
+                self._expect(")")
+            self._expect(";")
+            return EmitStmt(name, value, line)
+        if text == "if":
+            self.index += 1
+            return self._parse_if(line)
+        if _is_name(text):
+            self.index += 1
+            self._expect(":=")
+            value = self._parse_expr(1)
+            self._expect(";")
+            return Assign(text, value, line)
         raise self._error("expected a statement")
 
     def _parse_if(self, line: int) -> If:
         arms: List[Tuple[Optional[Expr], List[Stmt]]] = []
-        cond = self._parse_expr()
-        self._expect("kw", "then")
-        body = self._parse_stmts({"elif", "else", "end"})
-        arms.append((cond, body))
-        while self._accept("kw", "elif"):
-            cond = self._parse_expr()
-            self._expect("kw", "then")
-            body = self._parse_stmts({"elif", "else", "end"})
-            arms.append((cond, body))
-        if self._accept("kw", "else"):
-            body = self._parse_stmts({"end"})
-            arms.append((None, body))
-        self._expect("kw", "end")
+        cond = self._parse_expr(1)
+        self._expect("then")
+        arms.append((cond, self._parse_stmts(_ARM_END)))
+        while self._accept("elif"):
+            cond = self._parse_expr(1)
+            self._expect("then")
+            arms.append((cond, self._parse_stmts(_ARM_END)))
+        if self._accept("else"):
+            arms.append((None, self._parse_stmts(_LOOP_END)))
+        self._expect("end")
         return If(arms, line)
 
     # -- expressions (precedence climbing) -------------------------------------
 
-    def _parse_expr(self) -> Expr:
-        return self._parse_or()
+    def _parse_expr(self, level: int) -> Expr:
+        """An expression whose binary operators bind at ``level`` or above.
 
-    def _parse_or(self) -> Expr:
-        left = self._parse_and()
+        After an operator of precedence p only one of precedence p or
+        below may follow (of below p after a comparison, and of below
+        ``not``'s after a negation): a tighter one would have been taken
+        by the right operand, unless that stopped at a second comparison.
+        """
+        texts = self.texts
+        text = texts[self.index]
+        if level <= _NOT and (text == "not" or text == "!"):
+            self.index += 1
+            left: Expr = UnOp("!", self._parse_expr(_NOT))
+            top = _NOT - 1
+        else:
+            left = self._parse_unary()
+            top = 6
         while True:
-            if self._accept("kw", "or") or self._accept("op", "||"):
-                left = BinOp("||", left, self._parse_and())
-            else:
+            binary = _BINARY.get(texts[self.index])
+            if binary is None:
                 return left
-
-    def _parse_and(self) -> Expr:
-        left = self._parse_not()
-        while True:
-            if self._accept("kw", "and") or self._accept("op", "&&"):
-                left = BinOp("&&", left, self._parse_not())
-            else:
+            op, precedence = binary
+            if not level <= precedence <= top:
                 return left
-
-    def _parse_not(self) -> Expr:
-        if self._accept("kw", "not") or self._accept("op", "!"):
-            return UnOp("!", self._parse_not())
-        return self._parse_comparison()
-
-    _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
-
-    def _parse_comparison(self) -> Expr:
-        left = self._parse_additive()
-        if self.current.kind == "op" and self.current.text in self._CMP_OPS:
-            op = self._advance().text
-            return BinOp(op, left, self._parse_additive())
-        return left
-
-    def _parse_additive(self) -> Expr:
-        left = self._parse_multiplicative()
-        while self.current.kind == "op" and self.current.text in ("+", "-"):
-            op = self._advance().text
-            left = BinOp(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> Expr:
-        left = self._parse_unary()
-        while self.current.kind == "op" and self.current.text in ("*", "/", "%"):
-            op = self._advance().text
-            left = BinOp(op, left, self._parse_unary())
-        return left
+            self.index += 1
+            if precedence == 6:
+                left = BinOp(op, left, self._parse_unary())
+            else:
+                left = BinOp(op, left, self._parse_expr(precedence + 1))
+            top = precedence - 1 if precedence == _COMPARISON else precedence
 
     def _parse_unary(self) -> Expr:
-        if self._accept("op", "-"):
+        text = self.texts[self.index]
+        self.index += 1
+        first = text[:1]
+        if first in _NAME_START:
+            if text not in KEYWORDS:
+                return Var(text)
+            if text == "present":
+                return PresenceExpr(self._name())
+            if text == "true":
+                return Const(1)
+            if text == "false":
+                return Const(0)
+        elif first.isdecimal():
+            return Const(int(text))
+        elif first == "?" and len(text) > 1:
+            return EventValue(text[1:])
+        elif text == "-":
             return UnOp("-", self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Expr:
-        token = self.current
-        if token.kind == "num":
-            self._advance()
-            return Const(int(token.text))
-        if token.kind == "qid":
-            self._advance()
-            return EventValue(token.text[1:])
-        if token.kind == "id":
-            self._advance()
-            return Var(token.text)
-        if self._accept("kw", "present"):
-            return PresenceExpr(self._expect("id").text)
-        if self._accept("kw", "true"):
-            return Const(1)
-        if self._accept("kw", "false"):
-            return Const(0)
-        if self._accept("op", "("):
-            expr = self._parse_expr()
-            self._expect("op", ")")
+        elif text == "(":
+            expr = self._parse_expr(1)
+            self._expect(")")
             return expr
+        self.index -= 1
         raise self._error("expected an expression")
 
 
 def parse_module(source: str) -> Module:
     """Parse one RSL module from source text."""
-    return _Parser(_tokenize(source)).parse_module()
+    return _Parser(*_tokenize(source)).parse_module()
 
 
 def parse_file(path: str) -> Module:

@@ -21,10 +21,10 @@ __all__ = ["SiftSample", "SiftProfile"]
 class SiftSample:
     """One observation of the reordering loop.
 
-    ``counters`` optionally carries a snapshot of the BDD engine's
-    performance counters (:meth:`repro.bdd.BddManager.counters`) taken at
-    the same instant, turning the profile into a timeline of cache
-    behavior — not just size — during reordering.
+    ``counters`` optionally carries the BDD engine's swap, skip, live-node
+    and ITE-cache counters (:meth:`repro.bdd.BddManager.sample_counters`)
+    taken at the same instant, turning the profile into a timeline of
+    cache behavior — not just size — during reordering.
     """
 
     phase: str     # "start" | "block" | "pass" | "end"

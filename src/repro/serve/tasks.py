@@ -348,7 +348,14 @@ class ServeRequestTask:
                 cache.release_pins()
         meta: Dict[str, Any] = {"worker_pid": os.getpid()}
         if cache is not None:
-            meta["cache"] = cache.metrics_dict()
+            # The handle's counters only: its bytes would take a scan of the
+            # whole store per response (the request's get or put dropped the
+            # last sweep's count), and ``stats`` reports the store's bytes.
+            meta["cache"] = {
+                "cache_hits": cache.hits,
+                "cache_misses": cache.misses,
+                "cache_evictions": cache.evictions,
+            }
         return ServeOutcome(
             result=result,
             error=error,

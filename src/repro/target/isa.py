@@ -41,7 +41,17 @@ __all__ = ["Program"]
 
 
 class Program:
-    """A linear instruction list with labels, sizes resolved per profile."""
+    """A linear instruction list with labels, sizes resolved per profile.
+
+    :meth:`resolve` checks every branch target once and keeps the label
+    table until the program changes: :meth:`emit` and :meth:`label` drop
+    it, and so does a change in the number of instructions (the s-graph
+    compiler's epilogue pops one directly).
+    """
+
+    #: ``len(instructions)`` when :meth:`resolve` last checked the
+    #: targets, None since a change.  Never pickled, like a node's key.
+    _resolved_at: Optional[int] = None
 
     def __init__(self, name: str):
         self.name = name
@@ -50,6 +60,11 @@ class Program:
         self.labels_at: Dict[int, List[str]] = {}
         self.total_size: Optional[int] = None
         self._pending_labels: List[str] = []
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_resolved_at", None)
+        return state
 
     # -- construction -------------------------------------------------------
 
@@ -61,11 +76,13 @@ class Program:
         self._pending_labels.clear()
         self.instructions.append((op, args))
         self.total_size = None
+        self._resolved_at = None
 
     def label(self, name: str) -> None:
         if name in self.labels or name in self._pending_labels:
             raise ValueError(f"duplicate label {name!r} in program {self.name!r}")
         self._pending_labels.append(name)
+        self._resolved_at = None
 
     # -- resolution ---------------------------------------------------------
 
@@ -80,6 +97,8 @@ class Program:
 
     def resolve(self) -> Dict[str, int]:
         """Label table, with every branch target checked to exist."""
+        if self._resolved_at == len(self.instructions):
+            return self.labels
         if self._pending_labels:
             # Trailing labels bind past the last instruction (fall off the end).
             index = len(self.instructions)
@@ -93,6 +112,7 @@ class Program:
                     raise ValueError(
                         f"undefined label {target!r} in program {self.name!r}"
                     )
+        self._resolved_at = len(self.instructions)
         return self.labels
 
     def assemble(self, profile: ISAProfile) -> int:

@@ -13,6 +13,8 @@ checkpoints and rollbacks; random programs of them are
 ``test_kernel_engines``'s.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.bdd import (
@@ -25,7 +27,7 @@ from repro.bdd import (
 )
 from repro.frontend import compile_source
 from repro.obs import SiftProfile
-from repro.sgraph import sifted_order
+from repro.sgraph import naive_order, sifted_order
 from repro.synthesis import synthesize_reactive
 
 from .engines import ENGINES, engine
@@ -288,3 +290,59 @@ def test_unprofiled_sifts_alike():
         ]
 
     on_both_engines(run)
+
+
+# -- what a profile costs --------------------------------------------------------
+
+
+class CountingKernel:
+    """The kernel library, counting the calls made through it."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        entry = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return entry(*args)
+
+        return call
+
+
+def sift_calls(monkeypatch, profile):
+    """The kernel calls of one sift of damping_logic's χ."""
+    lib = CountingKernel(native.kernel_library())
+    monkeypatch.setattr(native, "_kernel_library", lib)
+    rf = synthesize_reactive(example_machine("damping_logic"))
+    naive_order(rf)
+    rf.chi  # built at its first read
+    before = Counter(lib.calls)
+    rf.sift(strict=False, profile=profile)
+    return lib.calls - before
+
+
+def test_a_profiled_sift_reads_each_sample_in_one_kernel_call(monkeypatch):
+    """The start, each pass and the end read their counters in one call
+    (the end reads the size too); the blocks' samples come back from the
+    passes' own calls."""
+    plain = sift_calls(monkeypatch, None)
+    profile = SiftProfile()
+    profiled = sift_calls(monkeypatch, profile)
+    assert profile.passes >= 2
+    assert profiled - plain == Counter(
+        {"bk_counters": profile.passes + 2, "bk_size": 1}
+    )
+    assert plain - profiled == Counter()
+
+
+def test_a_private_copy_builds_its_python_views_on_first_use():
+    m = named_manager()
+    f = (m.var(0) & m.var(3)) | m.var(5)
+    copy = m._copy_function(f)
+    assert not kernel._VIEWS & copy.manager.__dict__.keys()
+    assert copy.manager.size(copy) == m.size(f)
+    assert kernel._VIEWS <= copy.manager.__dict__.keys()
+    assert copy.var == f.var
