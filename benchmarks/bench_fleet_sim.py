@@ -58,6 +58,7 @@ from repro.fleet import (
 )
 from repro.fleet import native
 from repro.fleet.crosscheck import materialize_stream, scalar_reference_run
+from repro.obs import SIM_BENCH_FORMAT
 
 if __name__ == "__main__":  # script mode runs from anywhere
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -222,7 +223,7 @@ def run_report(smoke=False):
     mismatches = check_lanes(network, config, sample, compiled=compiled)
 
     doc = {
-        "format": "repro-sim-bench/v1",
+        "format": SIM_BENCH_FORMAT,
         "smoke": smoke,
         "network": network.name,
         "instances": config.instances,

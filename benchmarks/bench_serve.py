@@ -46,6 +46,7 @@ import time
 
 import pytest
 
+from repro.obs import SERVE_BENCH_FORMAT
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 
 if __name__ == "__main__":  # script mode runs from anywhere
@@ -382,7 +383,7 @@ def run_report(smoke=False):
     conformance_cache = tempfile.mkdtemp(prefix="bench-serve-conf-")
     try:
         doc = {
-            "format": "repro-serve-bench/v1",
+            "format": SERVE_BENCH_FORMAT,
             "smoke": smoke,
             "config": {
                 "jobs": sizes["jobs"],

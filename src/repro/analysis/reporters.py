@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from ..obs import VERIFY_REPORT_FORMAT as VERIFY_SCHEMA_ID
 from .diagnostics import Report, Severity
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
 ]
 
 JSON_SCHEMA_ID = "repro-lint-report/v1"
-VERIFY_SCHEMA_ID = "repro-verify-report/v1"
 
 _SARIF_LEVEL = {
     Severity.ERROR: "error",
@@ -72,17 +72,7 @@ def render_json(report: Report, fail_on: str = "error") -> str:
             "infos": counts["info"],
             "exit_code": report.exit_code(fail_on),
         },
-        "diagnostics": [
-            {
-                "check": d.check,
-                "severity": str(d.severity),
-                "layer": d.layer,
-                "artifact": d.artifact,
-                "location": d.location,
-                "message": d.message,
-            }
-            for d in report.sorted()
-        ],
+        "diagnostics": _diagnostic_dicts(report),
     }
     return json.dumps(document, indent=2, sort_keys=False)
 

@@ -65,7 +65,7 @@ from .codegen import generate_c
 from .estimation import calibrate, estimate
 from .frontend import compile_source
 from .rtos import RtosConfig, SchedulingPolicy, generate_rtos_c
-from .sgraph import synthesize
+from .sgraph import SCHEMES, synthesize
 from .target import PROFILES, analyze_program, compile_sgraph
 
 __all__ = ["main"]
@@ -107,6 +107,28 @@ def _finish_trace(args, trace) -> None:
         write_build_chrome_trace(trace, args.chrome_trace)
         sys.stderr.write(f"wrote Chrome trace to {args.chrome_trace}\n")
     sys.stderr.write(trace.summary() + "\n")
+
+
+def _name_values(items: Optional[List[str]], option: str, unit: str):
+    """The ``NAME=INT`` items of a repeatable option, as a dict."""
+    values = {}
+    for item in items or []:
+        name, _, value = item.partition("=")
+        try:
+            values[name] = int(value)
+        except ValueError:
+            raise SystemExit(f"{option} expects NAME={unit}, got {item!r}") from None
+    return values
+
+
+def _rtos_config(args) -> RtosConfig:
+    return RtosConfig(
+        policy=args.policy,
+        priorities=_name_values(getattr(args, "priority", None),
+                                "--priority", "P"),
+        polled_events=set(args.polled or []),
+        chains=[chain.split(",") for chain in (args.chain or [])],
+    )
 
 
 def _cmd_synth(args) -> int:
@@ -209,11 +231,7 @@ def _cmd_rtos(args) -> int:
 
     machines = [compile_source(_read(path)) for path in args.modules]
     network = Network(args.name, machines)
-    config = RtosConfig(
-        policy=args.policy,
-        polled_events=set(args.polled or []),
-        chains=[chain.split(",") for chain in (args.chain or [])],
-    )
+    config = _rtos_config(args)
     parts: List[str] = []
     if args.include_reactions:
         for machine in machines:
@@ -236,14 +254,7 @@ def _cmd_build(args) -> int:
 
     machines = [compile_source(_read(path)) for path in args.modules]
     network = Network(args.name, machines)
-    env_rates = None
-    if args.rate:
-        env_rates = {}
-        for item in args.rate:
-            name, _, value = item.partition("=")
-            if not value:
-                raise SystemExit(f"--rate expects NAME=CYCLES, got {item!r}")
-            env_rates[name] = int(value)
+    env_rates = _name_values(args.rate, "--rate", "CYCLES") if args.rate else None
     cache = _make_cache(args)
     trace = BuildTrace()
     build = build_system(
@@ -311,18 +322,7 @@ def _cmd_simulate(args) -> int:
 
     machines = [compile_source(_read(path)) for path in args.modules]
     network = Network(args.name, machines)
-    priorities = {}
-    for item in args.priority or []:
-        name, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"--priority expects NAME=P, got {item!r}")
-        priorities[name] = int(value)
-    config = RtosConfig(
-        policy=args.policy,
-        priorities=priorities,
-        polled_events=set(args.polled or []),
-        chains=[chain.split(",") for chain in (args.chain or [])],
-    )
+    config = _rtos_config(args)
     build = build_system(
         network,
         profile=_PROFILES[args.target],
@@ -458,8 +458,23 @@ def _lint_preamble(args, command: str):
     return machines
 
 
+def _write_diagnostics(args, report, json_renderer) -> int:
+    """Write a lint or verify report as SARIF, JSON or text; returns the
+    exit code ``--fail-on`` gives it."""
+    from .analysis import render_sarif, render_text
+
+    if args.sarif:
+        text = render_sarif(report)
+    elif args.json:
+        text = json_renderer(report, fail_on=args.fail_on)
+    else:
+        text = render_text(report, verbose=args.verbose)
+    _write(args.output, text)
+    return report.exit_code(args.fail_on)
+
+
 def _cmd_lint(args) -> int:
-    from .analysis import lint_design, render_json, render_sarif, render_text
+    from .analysis import lint_design, render_json
 
     machines = _lint_preamble(args, "lint")
     if isinstance(machines, int):
@@ -471,55 +486,26 @@ def _cmd_lint(args) -> int:
         only=args.check or None,
         jobs=args.jobs,
     )
-    if args.sarif:
-        _write(args.output, render_sarif(report))
-    elif args.json:
-        _write(args.output, render_json(report, fail_on=args.fail_on))
-    else:
-        _write(args.output, render_text(report, verbose=args.verbose))
-    return report.exit_code(args.fail_on)
+    return _write_diagnostics(args, report, render_json)
 
 
 def _cmd_verify(args) -> int:
-    from .analysis import (
-        render_sarif,
-        render_text,
-        render_verify_json,
-        verify_design,
-    )
+    from .analysis import render_verify_json, verify_design
 
     machines = _lint_preamble(args, "verify")
     if isinstance(machines, int):
         return machines
-    priorities = {}
-    for item in args.priority or []:
-        name, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"--priority expects NAME=P, got {item!r}")
-        priorities[name] = int(value)
-    config = RtosConfig(
-        policy=args.policy,
-        priorities=priorities,
-        polled_events=set(args.polled or []),
-        chains=[chain.split(",") for chain in (args.chain or [])],
-    )
     report = verify_design(
         machines,
         design=args.name,
         scheme=args.scheme,
         profile=args.target,
-        rtos_config=config,
+        rtos_config=_rtos_config(args),
         only=args.check or None,
         jobs=args.jobs,
         est_tolerance=args.est_tol,
     )
-    if args.sarif:
-        _write(args.output, render_sarif(report))
-    elif args.json:
-        _write(args.output, render_verify_json(report, fail_on=args.fail_on))
-    else:
-        _write(args.output, render_text(report, verbose=args.verbose))
-    return report.exit_code(args.fail_on)
+    return _write_diagnostics(args, report, render_verify_json)
 
 
 def _cmd_fleet(args) -> int:
@@ -638,7 +624,11 @@ def _cmd_fuzz(args) -> int:
     if args.replay:
         failures = 0
         for path in args.replay:
-            _, _, doc = load_repro_file(path)
+            try:
+                _, _, doc = load_repro_file(path)
+            except (OSError, ValueError) as exc:
+                sys.stderr.write(f"repro fuzz: {exc}\n")
+                return 2
             report = replay_file(path)
             if report.ok:
                 print(f"PASS  {path}")
@@ -802,33 +792,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_synth_options(p):
-        p.add_argument("--scheme", default="sift",
-                       choices=["naive", "sift", "sift-strict",
-                                "outputs-first", "mixed"])
-        p.add_argument("--no-switch", action="store_true",
-                       help="disable multiway switch merging")
-        p.add_argument("--copy-elimination", action="store_true",
-                       help="drop unneeded on-entry state copies")
-        p.add_argument("--reachability-dontcares", action="store_true",
-                       help="use unreachable states as don't-cares")
+    # Options several commands share, each defined once; a command passes
+    # the help text that differs.
+    def add_modules(p, nargs="+", name="system", name_help=None):
+        p.add_argument("modules", nargs=nargs, help="RSL source files")
+        p.add_argument("--name", default=name, help=name_help)
 
-    def add_pipeline_options(p):
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="build modules on an N-worker process pool "
-                            "(1 = in-process serial)")
+    def add_scheme(p, **kwargs):
+        kwargs.setdefault("default", "sift")
+        p.add_argument("--scheme", choices=SCHEMES, **kwargs)
+
+    def add_target(p):
+        p.add_argument("--target", default="K11", choices=sorted(PROFILES))
+
+    def add_jobs(p, help, default=1):
+        p.add_argument("--jobs", type=int, default=default, metavar="N",
+                       help=help)
+
+    def add_trace(p, help):
+        p.add_argument("--trace", default=None, metavar="OUT.json", help=help)
+
+    def add_top(p, help):
+        p.add_argument("--top", type=int, default=10, help=help)
+
+    def add_cache_options(p, dir_help, scope):
         p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="content-addressed artifact cache directory "
-                            "(unchanged modules skip synthesis entirely)")
+                       help=dir_help)
         p.add_argument("--cache-max-bytes", type=int, default=None,
                        metavar="BYTES",
                        help="evict least-recently-used cache entries "
                             "beyond this total size")
         p.add_argument("--no-cache", action="store_true",
-                       help="ignore --cache-dir for this run")
-        p.add_argument("--trace", default=None, metavar="OUT.json",
-                       help="write the structured build trace "
-                            "(repro-build-trace/v1) to this file")
+                       help=f"ignore --cache-dir for this {scope}")
+
+    def add_rtos_options(p, policy, policy_help=None, priority=True):
+        p.add_argument("--policy", default=policy,
+                       choices=list(SchedulingPolicy.ALL), help=policy_help)
+        if priority:
+            p.add_argument("--priority", action="append", metavar="NAME=P",
+                           help="static priority for a machine (lower = "
+                                "higher; repeatable)")
+        p.add_argument("--polled", action="append",
+                       help="deliver this event by polling (repeatable)")
+        p.add_argument("--chain", action="append",
+                       help="comma-separated machine names fused into one task")
+
+    def add_diagnostics_options(p, document, verb):
+        p.add_argument("--check", action="append",
+                       help="run only this check id (repeatable)")
+        p.add_argument("--json", action="store_true",
+                       help=f"emit the {document} JSON document")
+        p.add_argument("--sarif", action="store_true",
+                       help="emit a SARIF 2.1.0 log instead of text/JSON")
+        add_jobs(p, f"{verb} modules on an N-worker process pool "
+                    "(output is byte-identical to a serial run)")
+        p.add_argument("--fail-on", default="error",
+                       choices=["error", "warning", "info", "never"],
+                       help="lowest severity that makes the exit code 1")
+        p.add_argument("--verbose", action="store_true",
+                       help="show INFO diagnostics in text output")
+        p.add_argument("--list-checks", action="store_true",
+                       help="list the registered checks and exit")
+        p.add_argument("-o", "--output", default=None)
+
+    def add_pipeline_options(p):
+        add_jobs(p, "build modules on an N-worker process pool "
+                    "(1 = in-process serial)")
+        add_cache_options(p, "content-addressed artifact cache directory "
+                             "(unchanged modules skip synthesis entirely)",
+                          "run")
+        add_trace(p, "write the structured build trace "
+                     "(repro-build-trace/v1) to this file")
         p.add_argument("--chrome-trace", default=None, metavar="OUT.json",
                        help="also export the build trace as Chrome "
                             "trace-event JSON with per-worker lanes")
@@ -837,25 +871,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module", help="RSL source file ('-' for stdin)")
     p.add_argument("--emit", default="c",
                    choices=["c", "asm", "dot", "sgraph"])
-    p.add_argument("--target", default="K11", choices=sorted(PROFILES))
+    add_target(p)
     p.add_argument("--estimate", action="store_true",
                    help="print cost/performance estimates to stderr")
     p.add_argument("--harness", action="store_true",
                    help="include a main() harness in the C output")
     p.add_argument("-o", "--output", default=None)
-    add_synth_options(p)
+    add_scheme(p)
+    p.add_argument("--no-switch", action="store_true",
+                   help="disable multiway switch merging")
+    p.add_argument("--copy-elimination", action="store_true",
+                   help="drop unneeded on-entry state copies")
+    p.add_argument("--reachability-dontcares", action="store_true",
+                   help="use unreachable states as don't-cares")
     add_pipeline_options(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("rtos", help="generate the RTOS for a network")
-    p.add_argument("modules", nargs="+", help="RSL source files")
-    p.add_argument("--name", default="system")
-    p.add_argument("--policy", default=SchedulingPolicy.ROUND_ROBIN,
-                   choices=list(SchedulingPolicy.ALL))
-    p.add_argument("--polled", action="append",
-                   help="deliver this event by polling (repeatable)")
-    p.add_argument("--chain", action="append",
-                   help="comma-separated machine names fused into one task")
+    add_modules(p)
+    add_rtos_options(p, SchedulingPolicy.ROUND_ROBIN, priority=False)
     p.add_argument("--include-reactions", action="store_true",
                    help="emit the reaction modules into the same file")
     p.add_argument("--scheme", default="sift")
@@ -865,9 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "build", help="full co-synthesis flow for a network of modules"
     )
-    p.add_argument("modules", nargs="+", help="RSL source files")
-    p.add_argument("--name", default="system")
-    p.add_argument("--target", default="K11", choices=sorted(PROFILES))
+    add_modules(p)
+    add_target(p)
     p.add_argument("--rate", action="append",
                    help="environment event rate NAME=CYCLES (repeatable; "
                         "enables automatic scheduling validation)")
@@ -879,21 +912,10 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="build a network and run it on the RTOS simulator",
     )
-    p.add_argument("modules", nargs="+", help="RSL source files")
-    p.add_argument("--name", default="system")
-    p.add_argument("--target", default="K11", choices=sorted(PROFILES))
-    p.add_argument("--scheme", default="sift",
-                   choices=["naive", "sift", "sift-strict",
-                            "outputs-first", "mixed"])
-    p.add_argument("--policy", default=SchedulingPolicy.PREEMPTIVE_PRIORITY,
-                   choices=list(SchedulingPolicy.ALL))
-    p.add_argument("--priority", action="append", metavar="NAME=P",
-                   help="static priority for a machine (lower = higher; "
-                        "repeatable)")
-    p.add_argument("--polled", action="append",
-                   help="deliver this event by polling (repeatable)")
-    p.add_argument("--chain", action="append",
-                   help="comma-separated machine names fused into one task")
+    add_modules(p)
+    add_target(p)
+    add_scheme(p)
+    add_rtos_options(p, SchedulingPolicy.PREEMPTIVE_PRIORITY)
     p.add_argument("--until", type=int, default=100_000, metavar="CYCLES",
                    help="simulated horizon in cycles")
     p.add_argument("--stim", action="append", metavar="EVENT@TIME[=VALUE]",
@@ -917,8 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="summarize a repro trace JSON file (build or run)"
     )
     p.add_argument("trace", help="trace JSON file (build or run trace)")
-    p.add_argument("--top", type=int, default=10,
-                   help="rows per top-N table")
+    add_top(p, "rows per top-N table")
     p.add_argument("--no-validate", action="store_true",
                    help="skip schema validation before reporting")
     p.set_defaults(func=_cmd_report)
@@ -934,81 +955,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint", help="static analysis over a set of RSL modules"
     )
-    p.add_argument("modules", nargs="*", help="RSL source files")
-    p.add_argument("--name", default="design",
-                   help="design name used in the report")
-    p.add_argument("--scheme", default="sift",
-                   choices=["naive", "sift", "sift-strict",
-                            "outputs-first", "mixed"])
-    p.add_argument("--check", action="append",
-                   help="run only this check id (repeatable)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the repro-lint-report/v1 JSON document")
-    p.add_argument("--sarif", action="store_true",
-                   help="emit a SARIF 2.1.0 log instead of text/JSON")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="check modules on an N-worker process pool "
-                        "(output is byte-identical to a serial run)")
-    p.add_argument("--fail-on", default="error",
-                   choices=["error", "warning", "info", "never"],
-                   help="lowest severity that makes the exit code 1")
-    p.add_argument("--verbose", action="store_true",
-                   help="show INFO diagnostics in text output")
-    p.add_argument("--list-checks", action="store_true",
-                   help="list the registered checks and exit")
-    p.add_argument("-o", "--output", default=None)
+    add_modules(p, "*", "design", "design name used in the report")
+    add_scheme(p)
+    add_diagnostics_options(p, "repro-lint-report/v1", "check")
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
         "verify",
         help="whole-program static verification of a set of RSL modules",
     )
-    p.add_argument("modules", nargs="*", help="RSL source files")
-    p.add_argument("--name", default="design",
-                   help="design name used in the report")
-    p.add_argument("--scheme", default="sift",
-                   choices=["naive", "sift", "sift-strict",
-                            "outputs-first", "mixed"])
-    p.add_argument("--target", default="K11", choices=sorted(PROFILES))
-    p.add_argument("--policy", default=SchedulingPolicy.PREEMPTIVE_PRIORITY,
-                   choices=list(SchedulingPolicy.ALL),
-                   help="RTOS policy assumed by the interference analysis")
-    p.add_argument("--priority", action="append", metavar="NAME=P",
-                   help="static priority for a machine (lower = higher; "
-                        "repeatable)")
-    p.add_argument("--polled", action="append",
-                   help="deliver this event by polling (repeatable)")
-    p.add_argument("--chain", action="append",
-                   help="comma-separated machine names fused into one task")
+    add_modules(p, "*", "design", "design name used in the report")
+    add_scheme(p)
+    add_target(p)
+    add_rtos_options(p, SchedulingPolicy.PREEMPTIVE_PRIORITY,
+                     "RTOS policy assumed by the interference analysis")
     p.add_argument("--est-tol", type=float, default=None,
                    help="relative tolerance for the estimator bound checks "
                         "(default: the scheme's difftest tolerance)")
-    p.add_argument("--check", action="append",
-                   help="run only this check id (repeatable)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the repro-verify-report/v1 JSON document")
-    p.add_argument("--sarif", action="store_true",
-                   help="emit a SARIF 2.1.0 log instead of text/JSON")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="verify modules on an N-worker process pool "
-                        "(output is byte-identical to a serial run)")
-    p.add_argument("--fail-on", default="error",
-                   choices=["error", "warning", "info", "never"],
-                   help="lowest severity that makes the exit code 1")
-    p.add_argument("--verbose", action="store_true",
-                   help="show INFO diagnostics in text output")
-    p.add_argument("--list-checks", action="store_true",
-                   help="list the registered checks and exit")
-    p.add_argument("-o", "--output", default=None)
+    add_diagnostics_options(p, "repro-verify-report/v1", "verify")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
         "fleet",
         help="bit-sliced batched simulation of thousands of instances",
     )
-    p.add_argument("modules", nargs="*", help="RSL source files")
-    p.add_argument("--name", default="system",
-                   help="network name used in the summary")
+    add_modules(p, "*", "system", "network name used in the summary")
     p.add_argument("--app", default=None,
                    choices=["dashboard", "shock", "abp"],
                    help="simulate a built-in example network instead of "
@@ -1019,9 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network steps per instance")
     p.add_argument("--seed", type=int, default=0,
                    help="stimulus seed (per-shard streams derive from it)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run shards on an N-worker process pool (results "
-                        "are identical for any N)")
+    add_jobs(p, "run shards on an N-worker process pool (results "
+                "are identical for any N)")
     p.add_argument("--lanes-per-shard", type=int, default=4096,
                    help="lanes per shard (fixed blocks, independent of "
                         "--jobs)")
@@ -1032,11 +1002,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", type=int, default=0, metavar="N",
                    help="cross-check N evenly sampled lanes against the "
                         "scalar simulator (exit 1 on divergence)")
-    p.add_argument("--top", type=int, default=10,
-                   help="mismatch records shown per failing check")
-    p.add_argument("--trace", default=None, metavar="OUT.json",
-                   help="write the merged causal fleet trace "
-                        "(repro-build-trace/v1, one lane per shard)")
+    add_top(p, "mismatch records shown per failing check")
+    add_trace(p, "write the merged causal fleet trace "
+                 "(repro-build-trace/v1, one lane per shard)")
     p.add_argument("--out", default=None, metavar="OUT.json",
                    help="write the machine-readable fleet summary")
     p.set_defaults(func=_cmd_fleet)
@@ -1049,16 +1017,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign seed (case i derives its own stream)")
     p.add_argument("--cases", type=int, default=100,
                    help="number of random machines to generate and check")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="check cases on an N-worker process pool")
+    add_jobs(p, "check cases on an N-worker process pool")
     p.add_argument("--reactions", type=int, default=24,
                    help="input snapshots cross-checked per machine")
-    p.add_argument("--target", default="K11", choices=sorted(PROFILES))
-    p.add_argument("--scheme", action="append",
-                   choices=["naive", "sift", "sift-strict",
-                            "outputs-first", "mixed"],
-                   help="restrict the scheme rotation (repeatable; "
-                        "default rotates through all five)")
+    add_target(p)
+    add_scheme(p, action="append", default=None,
+               help="restrict the scheme rotation (repeatable; "
+                    "default rotates through all five)")
     p.add_argument("--est-tol", type=float, default=0.5,
                    help="relative tolerance for the estimator bound check")
     p.add_argument("--inject", default=None,
@@ -1079,11 +1044,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", action="append", metavar="REPRO.json",
                    help="re-check a shrunk repro file against the current "
                         "toolchain (repeatable); skips campaign mode")
-    p.add_argument("--top", type=int, default=10,
-                   help="rows per report table")
-    p.add_argument("--trace", default=None, metavar="OUT.json",
-                   help="write the merged causal campaign trace "
-                        "(repro-build-trace/v1, one lane per case)")
+    add_top(p, "rows per report table")
+    add_trace(p, "write the merged causal campaign trace "
+                 "(repro-build-trace/v1, one lane per case)")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser(
@@ -1106,19 +1069,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7411,
                    help="TCP port to listen on (0 = ephemeral)")
-    p.add_argument("--jobs", type=int, default=2, metavar="N",
-                   help="worker processes (max concurrent requests)")
+    add_jobs(p, "worker processes (max concurrent requests)", default=2)
     p.add_argument("--queue-depth", type=int, default=8, metavar="N",
                    help="admitted requests that may wait; one more is "
                         "rejected with retry_after_ms")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="shared artifact cache directory for all workers")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
-                   metavar="BYTES",
-                   help="evict least-recently-used cache entries beyond "
-                        "this total size")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache-dir for this daemon")
+    add_cache_options(p, "shared artifact cache directory for all workers",
+                      "daemon")
     p.add_argument("--no-request-traces", action="store_true",
                    help="skip the per-request causal trace in responses")
     p.set_defaults(func=_cmd_serve)

@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs import DIFFTEST_REPORT_FORMAT as DIFFTEST_FORMAT
+from ..obs import validate_difftest_repro
 from ..obs.context import TraceContext
 from ..pipeline.parallel import make_executor, run_traced, task_span
 from ..pipeline.trace import BuildTrace, TraceEvent
@@ -30,7 +32,6 @@ from .inject import inject_fault
 from .oracle import CaseReport, OracleOptions, check_case
 from .shrink import shrink_case
 from .spec import (
-    REPRO_FORMAT,
     case_to_repro_doc,
     cfsm_from_spec,
     snapshot_from_dict,
@@ -46,8 +47,6 @@ __all__ = [
     "load_repro_file",
     "replay_file",
 ]
-
-DIFFTEST_FORMAT = "repro-difftest/v1"
 
 # Rotated per case index: every synthesis scheme takes part in the
 # campaign, so an ordering-scheme regression cannot hide behind the
@@ -274,16 +273,21 @@ def run_fuzz(
 
 
 def load_repro_file(path: str) -> Tuple[Any, List[Any], Dict[str, Any]]:
-    """Read a replay document; returns (cfsm, snapshots, full doc)."""
+    """Read a replay document; returns (cfsm, snapshots, full doc).
+
+    Raises ``ValueError`` naming ``path`` and every schema error when the
+    document is not a valid ``repro-difftest-repro/v1`` replay.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if doc.get("format") != REPRO_FORMAT:
+    errors = validate_difftest_repro(doc)
+    if errors:
         raise ValueError(
-            f"{path}: expected format {REPRO_FORMAT!r}, "
-            f"got {doc.get('format')!r}"
+            f"{path}: invalid replay document:\n"
+            + "\n".join(f"  - {e}" for e in errors)
         )
     cfsm = cfsm_from_spec(doc["cfsm"])
-    snapshots = [snapshot_from_dict(s) for s in doc.get("snapshots", [])]
+    snapshots = [snapshot_from_dict(s) for s in doc["snapshots"]]
     return cfsm, snapshots, doc
 
 

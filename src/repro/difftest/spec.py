@@ -27,6 +27,7 @@ from ..cfsm.machine import (
     TestLiteral,
     Transition,
 )
+from ..obs import DIFFTEST_REPRO_FORMAT as REPRO_FORMAT
 
 __all__ = [
     "REPRO_FORMAT",
@@ -38,8 +39,6 @@ __all__ = [
     "snapshot_from_dict",
     "case_to_repro_doc",
 ]
-
-REPRO_FORMAT = "repro-difftest-repro/v1"
 
 #: One reaction's inputs: (state, present, values).
 Snapshot = Tuple[Dict[str, int], set, Dict[str, int]]

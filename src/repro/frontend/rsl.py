@@ -59,6 +59,7 @@ __all__ = [
     "If",
     "parse_module",
     "parse_file",
+    "MAX_NESTING",
 ]
 
 
@@ -241,6 +242,11 @@ _NOT = 3
 _COMPARISON = 4
 _ARM_END = frozenset(("elif", "else", "end"))
 _LOOP_END = frozenset(("end",))
+#: The deepest nesting of parentheses, unary operators and ``if``s (counted
+#: together) a module may have.  Every level costs the parser and the later
+#: passes stack frames; past this bound a module is a syntax error rather
+#: than a ``RecursionError``.
+MAX_NESTING = 200
 
 
 def _is_name(text: str) -> bool:
@@ -248,12 +254,13 @@ def _is_name(text: str) -> bool:
 
 
 class _Parser:
-    __slots__ = ("texts", "lines", "index")
+    __slots__ = ("texts", "lines", "index", "depth")
 
     def __init__(self, texts: List[str], lines: List[int]):
         self.texts = texts
         self.lines = lines
         self.index = 0
+        self.depth = 0  # nesting levels open; see MAX_NESTING
 
     # -- token helpers ------------------------------------------------------
 
@@ -279,6 +286,14 @@ class _Parser:
             raise self._error("expected 'id'")
         self.index += 1
         return text
+
+    def _nest(self, line: int) -> None:
+        """Open one nesting level; the caller closes it on success."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise RslSyntaxError(
+                f"nested too deeply (more than {MAX_NESTING} levels)", line
+            )
 
     def _number(self) -> int:
         text = self.texts[self.index]
@@ -375,7 +390,10 @@ class _Parser:
             return EmitStmt(name, value, line)
         if text == "if":
             self.index += 1
-            return self._parse_if(line)
+            self._nest(line)
+            stmt = self._parse_if(line)
+            self.depth -= 1
+            return stmt
         if _is_name(text):
             self.index += 1
             self._expect(":=")
@@ -411,8 +429,10 @@ class _Parser:
         texts = self.texts
         text = texts[self.index]
         if level <= _NOT and (text == "not" or text == "!"):
+            self._nest(self.lines[self.index])
             self.index += 1
             left: Expr = UnOp("!", self._parse_expr(_NOT))
+            self.depth -= 1
             top = _NOT - 1
         else:
             left = self._parse_unary()
@@ -449,10 +469,15 @@ class _Parser:
         elif first == "?" and len(text) > 1:
             return EventValue(text[1:])
         elif text == "-":
-            return UnOp("-", self._parse_unary())
+            self._nest(self.lines[self.index - 1])
+            expr: Expr = UnOp("-", self._parse_unary())
+            self.depth -= 1
+            return expr
         elif text == "(":
+            self._nest(self.lines[self.index - 1])
             expr = self._parse_expr(1)
             self._expect(")")
+            self.depth -= 1
             return expr
         self.index -= 1
         raise self._error("expected an expression")

@@ -16,8 +16,9 @@ against (the tentpole of the observability PRs):
   with per-worker lanes on build traces;
 * :mod:`repro.obs.profile` — the :class:`SiftProfile` collector for the
   BDD reordering loop, including engine-counter timelines;
-* :mod:`repro.obs.schema` — structural validators for the trace documents,
-  the engine-benchmark report, and the bench-history trend document;
+* :mod:`repro.obs.schema` — the document formats: one spec table per
+  format (trace documents, benchmark reports, the bench-history trend,
+  fuzz and verify reports) and the rule engine that validates them;
 * :mod:`repro.obs.history` — the ``repro-bench-history/v1`` merger and
   regression gate behind ``repro bench-history``;
 * :mod:`repro.obs.report` — the shared reporter behind ``repro report``.

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from .runtrace import RunTrace
+from .runtrace import RUN_TRACE_FORMAT, RunTrace
+from .schema import BUILD_TRACE_FORMAT
 
 __all__ = [
     "chrome_trace_events",
@@ -131,7 +132,7 @@ def to_chrome_trace(run: RunTrace) -> Dict[str, Any]:
         "traceEvents": chrome_trace_events(run),
         "displayTimeUnit": "ms",
         "otherData": {
-            "source": "repro-run-trace/v1",
+            "source": RUN_TRACE_FORMAT,
             "system": run.system,
             "policy": run.policy,
             "unit": "1 simulated cycle = 1 us",
@@ -219,7 +220,7 @@ def build_chrome_trace_events(trace) -> List[Dict[str, Any]]:
 def to_build_chrome_trace(trace) -> Dict[str, Any]:
     """The full object-format Chrome trace document for a build trace."""
     other: Dict[str, Any] = {
-        "source": "repro-build-trace/v1",
+        "source": BUILD_TRACE_FORMAT,
         "unit": "build wall clock (us)",
     }
     if trace.trace_id is not None:

@@ -9,10 +9,11 @@ and what the observed latencies were (run).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from .core import Histogram, read_trace_file
-from .runtrace import RunTrace
+from .history import render_history
+from .runtrace import RUN_TRACE_FORMAT, RunTrace
 from .schema import (
     BDD_BENCH_FORMAT,
     BENCH_HISTORY_FORMAT,
@@ -630,30 +631,27 @@ def render_serve_bench(doc: Dict[str, Any], top: int = 10) -> str:
 # ----------------------------------------------------------------------
 
 
+#: The renderer of every registered format, keyed by its ``format`` tag.
+_RENDERERS: Dict[str, Callable[[Dict[str, Any], int], str]] = {
+    BUILD_TRACE_FORMAT: render_build_report,
+    RUN_TRACE_FORMAT: render_run_report,
+    DIFFTEST_REPORT_FORMAT: render_difftest_report,
+    DIFFTEST_REPRO_FORMAT: render_difftest_repro,
+    VERIFY_REPORT_FORMAT: render_verify_report,
+    BDD_BENCH_FORMAT: render_bdd_bench,
+    SIM_BENCH_FORMAT: render_sim_bench,
+    SERVE_BENCH_FORMAT: render_serve_bench,
+    BENCH_HISTORY_FORMAT: lambda doc, top: render_history(doc),
+}
+
+
 def render_report(doc: Dict[str, Any], top: int = 10) -> str:
     """Render the right report for any trace document."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == BUILD_TRACE_FORMAT:
-        return render_build_report(doc, top=top)
-    if fmt == RunTrace.FORMAT:
-        return render_run_report(doc, top=top)
-    if fmt == DIFFTEST_REPORT_FORMAT:
-        return render_difftest_report(doc, top=top)
-    if fmt == DIFFTEST_REPRO_FORMAT:
-        return render_difftest_repro(doc, top=top)
-    if fmt == VERIFY_REPORT_FORMAT:
-        return render_verify_report(doc, top=top)
-    if fmt == BDD_BENCH_FORMAT:
-        return render_bdd_bench(doc, top=top)
-    if fmt == SIM_BENCH_FORMAT:
-        return render_sim_bench(doc, top=top)
-    if fmt == SERVE_BENCH_FORMAT:
-        return render_serve_bench(doc, top=top)
-    if fmt == BENCH_HISTORY_FORMAT:
-        from .history import render_history
-
-        return render_history(doc)
-    raise ValueError(f"unknown trace format {fmt!r}")
+    render = _RENDERERS.get(fmt) if isinstance(fmt, str) else None
+    if render is None:
+        raise ValueError(f"unknown trace format {fmt!r}")
+    return render(doc, top)
 
 
 def report_file(path: str, top: int = 10, validate: bool = True) -> str:

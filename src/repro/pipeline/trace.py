@@ -34,12 +34,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
 
+from ..obs import BUILD_TRACE_FORMAT as TRACE_FORMAT
 from ..obs import TraceDocument
 from ..obs.context import TraceContext, make_span_id, new_trace_id
 
 __all__ = ["TraceEvent", "BuildTrace", "TRACE_FORMAT", "staged"]
-
-TRACE_FORMAT = "repro-build-trace/v1"
 
 #: ``kind`` values.  A ``pass`` event is one synthesis pass run by a
 #: PassManager; a ``cache`` event is one artifact-cache lookup (status
