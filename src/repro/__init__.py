@@ -33,7 +33,7 @@ from .codegen import generate_c
 from .estimation import calibrate, estimate
 from .flow import SystemBuild, build_system
 from .frontend import compile_source, parse_module
-from .pipeline import ArtifactCache, BuildTrace, PassManager
+from .pipeline import ArtifactCache, BuildTrace
 from .rtos import RtosConfig, RtosRuntime, SchedulingPolicy, Stimulus
 from .sgraph import SynthesisResult, synthesize
 from .synthesis import synthesize_reactive
@@ -56,7 +56,6 @@ __all__ = [
     "build_system",
     "ArtifactCache",
     "BuildTrace",
-    "PassManager",
     "compile_source",
     "parse_module",
     "RtosConfig",

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cfsm.machine import Cfsm
+from ..pipeline.artifacts import bound_figures
 from .c_checks import CSourceContext
 from .diagnostics import Diagnostic, Report, Severity
 from .network_checks import NetworkContext
@@ -117,16 +118,8 @@ class VerifyModuleTask:
         )
         bounds = {
             "module": self.machine.name,
-            "estimate": {
-                "code_size": context.est.code_size,
-                "min_cycles": context.est.min_cycles,
-                "max_cycles": context.est.max_cycles,
-            },
-            "measured": {
-                "code_size": context.meas.code_size,
-                "min_cycles": context.meas.min_cycles,
-                "max_cycles": context.meas.max_cycles,
-            },
+            "estimate": bound_figures(context.est),
+            "measured": bound_figures(context.meas),
         }
         return diagnostics, bounds
 

@@ -3,15 +3,14 @@
 ``repro lint`` checks look at one representation each; the ``verify``
 tier instead analyses a *fully built* module — the synthesized s-graph,
 the compiled ISA program, and the generated-and-parsed C — so its checks
-can cross-examine the layers against each other.  Building all of that
-once per module is what :class:`ModuleVerifyContext.build` does (the
-same artifact set the conformance oracle constructs, minus snapshots).
-
-The estimator is always called through the ``repro.estimation`` package
-attribute so injected faults (:mod:`repro.difftest.inject`) patching
-``repro.estimation.estimate`` are visible to the verifier exactly as
-they are to the fuzz oracle — that visibility is what the
-``est-halve-max`` gate self-test exercises.
+can cross-examine the layers against each other.
+:class:`ModuleVerifyContext.build` gets those artifacts from
+:func:`repro.pipeline.build_module_artifacts`, the builder ``repro
+build`` and the conformance oracle use, so the verifier checks the bytes
+a build ships.  That builder reads ``repro.estimation.estimate`` at call
+time, so injected faults (:mod:`repro.difftest.inject`) reach the
+verifier exactly as they reach the fuzz oracle — that visibility is what
+the ``est-halve-max`` gate self-test exercises.
 """
 
 from __future__ import annotations
@@ -80,40 +79,30 @@ class ModuleVerifyContext:
         est_tolerance: Optional[float] = None,
         copy_elimination: bool = True,
     ) -> "ModuleVerifyContext":
-        """Synthesize, compile, generate/parse C, estimate, analyze."""
-        from .. import estimation as _estimation
-        from ..codegen import generate_c
+        """The module's artifacts as a build ships them, plus its parsed C."""
         from ..difftest.cinterp import CReaction
         from ..estimation import calibrate
-        from ..sgraph import synthesize
-        from ..target import PROFILES, analyze_program, compile_sgraph
+        from ..pipeline import build_module_artifacts, synthesis_options
+        from ..target import PROFILES
 
-        result = synthesize(
-            machine, scheme=scheme, copy_elimination=copy_elimination
-        )
         isa_profile = PROFILES[profile]
-        program = compile_sgraph(result, isa_profile)
-        source = generate_c(result)
-        creact = CReaction.parse(source, machine)
         params = calibrate(isa_profile)
-        # Through the package attribute: injectable (see module docstring).
-        est = _estimation.estimate(
-            result.sgraph,
-            result.reactive.encoding,
+        built, result = build_module_artifacts(
+            machine,
+            synthesis_options(scheme=scheme, copy_elimination=copy_elimination),
+            isa_profile,
             params,
-            copy_vars=result.copy_vars,
         )
-        meas = analyze_program(program, isa_profile)
         return cls(
             machine=machine,
             result=result,
-            program=program,
+            program=built.program,
             profile=isa_profile,
             params=params,
-            est=est,
-            meas=meas,
-            source=source,
-            creact=creact,
+            est=built.estimate,
+            meas=built.measured,
+            source=built.c_source,
+            creact=CReaction.parse(built.c_source, machine),
             scheme=scheme,
             est_tolerance=scheme_tolerance(scheme, est_tolerance),
         )

@@ -62,11 +62,11 @@ import time
 from typing import List, Optional
 
 from .codegen import generate_c
-from .estimation import calibrate, estimate
+from .estimation import calibrate
 from .frontend import compile_source
 from .rtos import RtosConfig, SchedulingPolicy, generate_rtos_c
 from .sgraph import SCHEMES, synthesize
-from .target import PROFILES, analyze_program, compile_sgraph
+from .target import PROFILES
 
 __all__ = ["main"]
 
@@ -132,63 +132,36 @@ def _rtos_config(args) -> RtosConfig:
 
 
 def _cmd_synth(args) -> int:
-    from .pipeline import (
-        BuildTrace,
-        build_module_artifacts,
-        module_cache_key,
-        synthesis_options,
-    )
+    from .pipeline import BuildTrace, cached_module_artifacts, synthesis_options
 
     cfsm = compile_source(_read(args.module))
     profile = PROFILES[args.target]
-    trace = BuildTrace()
+    params = calibrate(profile)
+    options = synthesis_options(
+        scheme=args.scheme,
+        multiway=not args.no_switch,
+        copy_elimination=args.copy_elimination,
+        reachability_dontcares=args.reachability_dontcares,
+        params=params,
+    )
     cache = _make_cache(args)
-
     # The cache can serve everything the serialized artifacts carry: the C
     # source (sans harness), the target assembly, and both estimate and
     # measurement.  DOT / s-graph dumps need the live BDD objects.
-    cacheable = args.emit in ("c", "asm") and not (
-        args.emit == "c" and args.harness
+    harness = args.emit == "c" and args.harness
+    if args.emit not in ("c", "asm") or harness:
+        cache = None
+    trace = BuildTrace()
+    artifacts, result, _ = cached_module_artifacts(
+        cfsm, options, profile, params, cache=cache, trace=trace
     )
-    artifacts = result = None
-    if cache is not None and cacheable:
-        params = calibrate(profile)
-        options = synthesis_options(
-            scheme=args.scheme,
-            multiway=not args.no_switch,
-            copy_elimination=args.copy_elimination,
-            reachability_dontcares=args.reachability_dontcares,
-            params=params,
-        )
-        key = module_cache_key(cfsm, options, profile)
-        artifacts = cache.get(key)
-        trace.record_cache(cfsm.name, "hit" if artifacts else "miss", key)
-        if artifacts is None:
-            artifacts, result = build_module_artifacts(
-                cfsm, options, profile, params, trace=trace
-            )
-            cache.put(key, artifacts)
-    if artifacts is None:
-        result = synthesize(
-            cfsm,
-            scheme=args.scheme,
-            multiway=not args.no_switch,
-            copy_elimination=args.copy_elimination,
-            reachability_dontcares=args.reachability_dontcares,
-            trace=trace,
-        )
 
-    if args.emit == "c":
-        if artifacts is not None:
-            _write(args.output, artifacts.c_source)
-        else:
-            _write(args.output, generate_c(result, include_harness=args.harness))
+    if harness:
+        _write(args.output, generate_c(result, include_harness=True))
+    elif args.emit == "c":
+        _write(args.output, artifacts.c_source)
     elif args.emit == "asm":
-        program = (
-            artifacts.program if artifacts is not None
-            else compile_sgraph(result, profile)
-        )
-        _write(args.output, program.listing())
+        _write(args.output, artifacts.program.listing())
     elif args.emit == "dot":
         _write(
             args.output,
@@ -200,18 +173,7 @@ def _cmd_synth(args) -> int:
             result.sgraph.dump(describe=result.reactive.manager.var_name),
         )
     if args.estimate:
-        if artifacts is not None:
-            est, meas = artifacts.estimate, artifacts.measured
-        else:
-            params = calibrate(profile)
-            est = estimate(
-                result.sgraph,
-                result.reactive.encoding,
-                params,
-                copy_vars=result.copy_vars,
-            )
-            program = compile_sgraph(result, profile)
-            meas = analyze_program(program, profile)
+        est, meas = artifacts.estimate, artifacts.measured
         sys.stderr.write(
             f"[{cfsm.name}] estimated {est}; "
             f"measured size={meas.code_size}B "
@@ -616,7 +578,7 @@ def _cmd_fuzz(args) -> int:
         DEFAULT_SCHEMES,
         FuzzConfig,
         load_repro_file,
-        replay_file,
+        replay_repro,
         run_fuzz,
     )
     from .obs import render_difftest_report, render_difftest_repro
@@ -625,11 +587,11 @@ def _cmd_fuzz(args) -> int:
         failures = 0
         for path in args.replay:
             try:
-                _, _, doc = load_repro_file(path)
+                cfsm, snapshots, doc = load_repro_file(path)
             except (OSError, ValueError) as exc:
                 sys.stderr.write(f"repro fuzz: {exc}\n")
                 return 2
-            report = replay_file(path)
+            report = replay_repro(cfsm, snapshots, doc)
             if report.ok:
                 print(f"PASS  {path}")
             else:

@@ -34,6 +34,7 @@ from .runner import (
     FuzzConfig,
     load_repro_file,
     replay_file,
+    replay_repro,
     run_fuzz,
 )
 from .shrink import shrink_case
@@ -66,6 +67,7 @@ __all__ = [
     "FuzzConfig",
     "run_fuzz",
     "replay_file",
+    "replay_repro",
     "load_repro_file",
     "case_to_repro_doc",
     "cfsm_to_spec",

@@ -30,15 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import estimation as _estimation
 from ..cfsm.machine import Cfsm
 from ..cfsm.semantics import CfsmConflictError, build_env, react
-from ..codegen import generate_c
 from ..estimation import calibrate
-from ..sgraph import synthesize
+from ..pipeline.artifacts import (
+    bound_figures,
+    build_module_artifacts,
+    synthesis_options,
+)
 from ..synthesis.encoding import FireFlag
 from ..synthesis.reactive import ConsistencyError
-from ..target import PROFILES, analyze_program, compile_sgraph
+from ..target import PROFILES
 from ..target import machine as _target_machine
 from .cinterp import CInterpError, CReaction
 from .generator import Snapshot
@@ -127,35 +129,25 @@ class CaseArtifacts:
 
 
 def build_case_artifacts(cfsm: Cfsm, options: OracleOptions) -> CaseArtifacts:
-    """Synthesize, compile, generate and parse C, estimate, analyze."""
-    result = synthesize(
-        cfsm,
-        scheme=options.scheme,
-        copy_elimination=options.copy_elimination,
-    )
+    """The module's artifacts as a build ships them, plus its parsed C."""
     profile = PROFILES[options.profile]
-    program = compile_sgraph(result, profile)
-    source = generate_c(result)
-    creact = CReaction.parse(source, cfsm)
-    params = calibrate(profile)
-    # Call through the module so injected faults (repro.difftest.inject)
-    # patching repro.estimation.estimate are visible here.
-    est = _estimation.estimate(
-        result.sgraph,
-        result.reactive.encoding,
-        params,
-        copy_vars=result.copy_vars,
+    built, result = build_module_artifacts(
+        cfsm,
+        synthesis_options(
+            scheme=options.scheme, copy_elimination=options.copy_elimination
+        ),
+        profile,
+        calibrate(profile),
     )
-    meas = analyze_program(program, profile)
     return CaseArtifacts(
         cfsm=cfsm,
         result=result,
         profile=profile,
-        program=program,
-        source=source,
-        creact=creact,
-        est=est,
-        meas=meas,
+        program=built.program,
+        source=built.c_source,
+        creact=CReaction.parse(built.c_source, cfsm),
+        est=built.estimate,
+        meas=built.measured,
         options=options,
     )
 
@@ -331,16 +323,8 @@ def check_case(
         # fail identically, so report it once as a case-level mismatch.
         report.mismatches.append(Mismatch("cgen", "parse", None, str(exc)))
         return report
-    report.estimate = {
-        "code_size": artifacts.est.code_size,
-        "min_cycles": artifacts.est.min_cycles,
-        "max_cycles": artifacts.est.max_cycles,
-    }
-    report.measured = {
-        "code_size": artifacts.meas.code_size,
-        "min_cycles": artifacts.meas.min_cycles,
-        "max_cycles": artifacts.meas.max_cycles,
-    }
+    report.estimate = bound_figures(artifacts.est)
+    report.measured = bound_figures(artifacts.meas)
     for i, snapshot in enumerate(snapshots):
         report.reactions += 1
         report.mismatches.extend(check_reaction(artifacts, snapshot, i))

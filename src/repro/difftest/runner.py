@@ -46,6 +46,7 @@ __all__ = [
     "run_fuzz",
     "load_repro_file",
     "replay_file",
+    "replay_repro",
 ]
 
 # Rotated per case index: every synthesis scheme takes part in the
@@ -291,24 +292,32 @@ def load_repro_file(path: str) -> Tuple[Any, List[Any], Dict[str, Any]]:
     return cfsm, snapshots, doc
 
 
-def replay_file(
-    path: str, options: Optional[OracleOptions] = None
+def replay_repro(
+    cfsm: Any,
+    snapshots: List[Any],
+    doc: Dict[str, Any],
+    options: Optional[OracleOptions] = None,
 ) -> CaseReport:
-    """Re-check a replay document against the *current* toolchain.
+    """Re-check a loaded replay document against the *current* toolchain.
 
-    The stored synthesis options (scheme/profile/tolerance) are honoured
-    so the replay exercises the same pipeline configuration that failed;
-    the recorded fault injection is deliberately NOT re-applied — corpus
-    replays assert that the current, unpatched toolchain conforms.
+    ``cfsm``, ``snapshots`` and ``doc`` are what :func:`load_repro_file`
+    returns.  The stored synthesis options (scheme/profile/tolerance) are
+    honoured so the replay exercises the same pipeline configuration that
+    failed; the recorded fault injection is deliberately NOT re-applied —
+    corpus replays assert that the current, unpatched toolchain conforms.
     """
-    cfsm, snapshots, doc = load_repro_file(path)
+    origin = doc.get("origin", {})
     if options is None:
-        origin = doc.get("origin", {})
         options = OracleOptions(
             scheme=origin.get("scheme", "sift"),
             profile=origin.get("profile", "K11"),
             est_tolerance=origin.get("est_tolerance", 0.5),
         )
-    return check_case(
-        cfsm, snapshots, options, index=doc.get("origin", {}).get("index", 0)
-    )
+    return check_case(cfsm, snapshots, options, index=origin.get("index", 0))
+
+
+def replay_file(
+    path: str, options: Optional[OracleOptions] = None
+) -> CaseReport:
+    """:func:`replay_repro` of the replay document at ``path``."""
+    return replay_repro(*load_repro_file(path), options=options)

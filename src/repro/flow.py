@@ -9,12 +9,12 @@
    selection and schedulability validation from environment event rates);
 5. target compilation — here onto the bundled ISA profile for measurement.
 
-Since the pass-pipeline refactor, ``build_system`` is a *scheduler*: each
-software CFSM's synthesis runs as a declared pass pipeline
-(:mod:`repro.sgraph.passes`) through an executor (``jobs > 1`` → the
+``build_system`` is a *scheduler*: each software CFSM is built by
+:func:`repro.pipeline.build_module_artifacts` (steps 1-3 and 5, the
+synthesis steps as plain calls) through an executor (``jobs > 1`` → the
 process's shared worker pool, :mod:`repro.pipeline.parallel`), with a
 content-addressed artifact cache in front (``cache=``,
-:mod:`repro.pipeline.cache`) and per-pass instrumentation flowing into a
+:mod:`repro.pipeline.cache`) and per-step instrumentation flowing into a
 structured build trace (``trace=``, :mod:`repro.pipeline.trace`); the
 executor is reached only through :func:`repro.pipeline.parallel.run_traced`,
 which carries worker spans home in the task outcomes.  Serial, parallel,

@@ -1,26 +1,33 @@
-"""The pass-pipeline subsystem: passes, caching, parallelism, tracing.
+"""Building modules: the artifact builder, caching, parallelism, tracing.
 
-This package turns the paper's five-stage flow (Sec. I-H) from a
-hard-wired call sequence into an orchestrated pipeline:
+Synthesizing one CFSM is a fixed sequence (Sec. I-H, III): sift χ, build
+the s-graph, reduce and optimize it (:func:`repro.sgraph.synthesize`),
+emit C, then compile and estimate.  This package wraps that sequence:
 
-* :mod:`repro.pipeline.passes` — the :class:`Pass` protocol and
-  :class:`PassManager` that run a declared stage sequence with per-pass
-  timing and metrics;
+* :mod:`repro.pipeline.artifacts` — :func:`build_module_artifacts`, the
+  one builder of a module's artifacts (the build, its workers, the fuzz
+  oracle, the verifier, ``repro synth`` and serve all call it), its
+  cache-aware wrapper :func:`cached_module_artifacts`, and the picklable
+  :class:`ModuleArtifacts` bundle both the cache and the workers speak;
 * :mod:`repro.pipeline.cache` — a content-addressed on-disk
   :class:`ArtifactCache` keyed by (CFSM fingerprint, options/profile
   fingerprint, code version);
 * :mod:`repro.pipeline.parallel` — serial or process-pool executors
   over per-CFSM build tasks, one shared pool per process;
 * :mod:`repro.pipeline.trace` — the structured :class:`BuildTrace`
-  (``repro-build-trace/v1`` JSON);
-* :mod:`repro.pipeline.artifacts` — the picklable per-CFSM
-  :class:`ModuleArtifacts` bundle both the cache and the workers speak.
+  (``repro-build-trace/v1`` JSON) and :func:`~repro.pipeline.trace.staged`,
+  which times one step and records it with its metrics.
 
 :func:`repro.flow.build_system` is the scheduler that wires these
-together; :mod:`repro.sgraph.passes` declares the synthesis stages.
+together.
 """
 
-from .artifacts import ModuleArtifacts, build_module_artifacts, synthesis_options
+from .artifacts import (
+    ModuleArtifacts,
+    build_module_artifacts,
+    cached_module_artifacts,
+    synthesis_options,
+)
 from .cache import (
     ArtifactCache,
     cfsm_fingerprint,
@@ -37,13 +44,9 @@ from .parallel import (
     SerialExecutor,
     make_executor,
 )
-from .passes import Pass, PassContext, PassManager
 from .trace import BuildTrace, TraceEvent
 
 __all__ = [
-    "Pass",
-    "PassContext",
-    "PassManager",
     "BuildTrace",
     "TraceEvent",
     "ArtifactCache",
@@ -54,6 +57,7 @@ __all__ = [
     "code_version",
     "ModuleArtifacts",
     "build_module_artifacts",
+    "cached_module_artifacts",
     "synthesis_options",
     "ModuleBuildTask",
     "ModuleBuildOutcome",

@@ -6,10 +6,16 @@ program, the s-graph estimate, the measured path analysis, and the copied
 state variables — with no live BDD objects attached, so the bundle can be
 pickled into the artifact cache or shipped back from a worker process.
 
-:func:`build_module_artifacts` is the one code path that produces the
-bundle; the serial flow, the process-pool workers, and cache misses all go
-through it, which is what guarantees byte-identical artifacts regardless
-of executor or cache temperature.
+:func:`build_module_artifacts` is the one builder of the bundle.  The
+build (serial, pooled and on cache misses), the fuzz oracle
+(:func:`repro.difftest.oracle.build_case_artifacts`), the verifier
+(:meth:`repro.analysis.ModuleVerifyContext.build`), ``repro synth`` and
+serve's ``estimate`` requests all go through it, so the checkers look at
+the bytes a build ships, and those bytes are the same whatever executor
+or cache temperature produced them.  :func:`cached_module_artifacts`
+puts one artifact cache in front of it for the callers that build one
+module at a time; :func:`repro.flow.build_system` batches its own
+lookups.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from .cache import ArtifactCache, module_cache_key
 from .trace import BuildTrace, staged
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
@@ -28,6 +35,7 @@ __all__ = [
     "ModuleArtifacts",
     "bound_figures",
     "build_module_artifacts",
+    "cached_module_artifacts",
     "synthesis_options",
 ]
 
@@ -92,14 +100,17 @@ def build_module_artifacts(
 
     ``options`` is a :func:`synthesis_options` dict.  Returns the bundle
     plus the live :class:`SynthesisResult` for callers that want the
-    s-graph and reactive function (serial in-process builds).
+    s-graph and reactive function (serial in-process builds, the
+    checkers).
 
     Each call synthesizes in a fresh BDD manager of its own, which only
-    the returned result keeps alive.
+    the returned result keeps alive.  The estimator is read from the
+    ``repro.estimation`` package at call time, so a fault injected there
+    (:mod:`repro.difftest.inject`) reaches every caller.
     """
+    from .. import estimation
     from ..bdd.native import load_kernel_library
     from ..codegen import generate_c
-    from ..estimation import estimate as estimate_sgraph
     from ..sgraph import synthesize
     from ..target import analyze_program, compile_sgraph
 
@@ -127,7 +138,7 @@ def build_module_artifacts(
     c_source = staged(trace, name, "codegen", lambda: generate_c(result))
     est = staged(
         trace, name, "estimate",
-        lambda: estimate_sgraph(
+        lambda: estimation.estimate(
             result.sgraph,
             result.reactive.encoding,
             params,
@@ -149,3 +160,35 @@ def build_module_artifacts(
         copied_state_vars=result.copied_state_vars(),
     )
     return artifacts, result
+
+
+def cached_module_artifacts(
+    machine,
+    options: Dict[str, Any],
+    profile: "ISAProfile",
+    params: "CostParams",
+    cache: Optional[ArtifactCache] = None,
+    trace: Optional[BuildTrace] = None,
+) -> Tuple[ModuleArtifacts, Optional["SynthesisResult"], bool]:
+    """:func:`build_module_artifacts` behind ``cache``.
+
+    Returns ``(artifacts, result, from_cache)``; ``result`` is ``None``
+    on a hit.  With a cache, it looks the module's key up, records the
+    ``cache`` event on ``trace``, and stores a miss's artifacts.
+    """
+    key = None
+    if cache is not None:
+        key = module_cache_key(machine, options, profile)
+        artifacts = cache.get(key)
+        if trace is not None:
+            trace.record_cache(
+                machine.name, "hit" if artifacts is not None else "miss", key
+            )
+        if artifacts is not None:
+            return artifacts, None, True
+    artifacts, result = build_module_artifacts(
+        machine, options, profile, params, trace=trace
+    )
+    if key is not None:
+        cache.put(key, artifacts)
+    return artifacts, result, False

@@ -87,7 +87,8 @@ CACHE_FORMAT_VERSION = 2
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Subpackages whose source participates in artifact bytes.  ``pipeline``
-#: itself is included so a cache-format change rolls the version too.
+#: itself is included so a cache-format change rolls the version too.  Their
+#: C sources count as well: the BDD kernel makes every sift decision.
 _VERSIONED_SUBPACKAGES = (
     "bdd",
     "cfsm",
@@ -160,25 +161,30 @@ def _prune(held: Dict[str, int]) -> None:
                 pass
 
 
+def _source_version(root: str) -> str:
+    """Hash of the ``.py`` and ``.c`` sources of the versioned subpackages."""
+    digest = hashlib.sha256()
+    for sub in _VERSIONED_SUBPACKAGES:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, sub)):
+            dirnames.sort()
+            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+            for name in sorted(filenames):
+                if not name.endswith((".py", ".c")):
+                    continue
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, root).encode("utf-8"))
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def code_version() -> str:
     """Hash of the artifact-producing source tree (memoized per process)."""
     global _code_version
     if _code_version is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256()
-        for sub in _VERSIONED_SUBPACKAGES:
-            base = os.path.join(root, sub)
-            for dirpath, dirnames, filenames in os.walk(base):
-                dirnames.sort()
-                dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-                for name in sorted(filenames):
-                    if not name.endswith(".py"):
-                        continue
-                    path = os.path.join(dirpath, name)
-                    digest.update(os.path.relpath(path, root).encode("utf-8"))
-                    with open(path, "rb") as handle:
-                        digest.update(handle.read())
-        _code_version = digest.hexdigest()
+        _code_version = _source_version(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
     return _code_version
 
 

@@ -80,8 +80,8 @@ class ModuleBuildTask:
 
     When the coordinator runs a causal trace it injects a
     :class:`~repro.obs.context.TraceContext`: the task then records on
-    its own span-id lane under a per-module span.  Untraced, the outcome
-    still carries the flat pass and stage events.
+    its own span-id lane under a per-module span.  Untraced, it records
+    nothing (no sift profile, no step metrics) and ships no events.
     """
 
     machine: Any  # Cfsm — picklable by construction
@@ -95,7 +95,7 @@ class ModuleBuildTask:
         with task_span(trace, self.machine.name, "module"):
             artifacts, result = build_module_artifacts(
                 self.machine, self.options, self.profile, self.params,
-                trace=trace,
+                trace=trace if trace.causal else None,
             )
         return ModuleBuildOutcome(
             artifacts=artifacts,

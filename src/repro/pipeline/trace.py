@@ -1,14 +1,16 @@
-"""Structured build traces: per-pass instrumentation of the synthesis flow.
+"""Structured build traces: per-step instrumentation of the synthesis flow.
 
-Every pass executed by a :class:`repro.pipeline.passes.PassManager`, every
-cache lookup of a :class:`repro.pipeline.cache.ArtifactCache`, and every
-coarse stage of :func:`repro.flow.build_system` (calibration, RTOS
-generation, footprint accounting, per-module compilation) appends one
-:class:`TraceEvent`.  The trace answers the questions a scaling effort
-needs answered — where did the wall time go, how big were the BDDs and
-s-graphs, which modules were rebuilt and which came from the cache — and
-serializes to a stable JSON document (``repro-build-trace/v1``) for
-external tooling.
+Every synthesis step of :func:`repro.sgraph.synthesize_from_reactive`
+(order, build, reduce, prune, multiway, copy-elim), every artifact-cache
+lookup, every stage of :func:`repro.pipeline.build_module_artifacts`
+(compile, codegen, estimate, measure) and every coarse stage of
+:func:`repro.flow.build_system` (calibration, scheduling, RTOS
+generation, footprint accounting) appends one :class:`TraceEvent`; the
+steps and stages are recorded by :func:`staged`.  The trace answers the
+questions a scaling effort needs answered — where did the wall time go,
+how big were the BDDs and s-graphs, which modules were rebuilt and which
+came from the cache — and serializes to a stable JSON document
+(``repro-build-trace/v1``) for external tooling.
 
 Since the causal-telemetry work the trace is also a *distributed* trace:
 :meth:`BuildTrace.begin` opens a W3C-style root span (32-hex ``trace_id``,
@@ -40,8 +42,8 @@ from ..obs.context import TraceContext, make_span_id, new_trace_id
 
 __all__ = ["TraceEvent", "BuildTrace", "TRACE_FORMAT", "staged"]
 
-#: ``kind`` values.  A ``pass`` event is one synthesis pass run by a
-#: PassManager; a ``cache`` event is one artifact-cache lookup (status
+#: ``kind`` values.  A ``pass`` event is one synthesis step (order ...
+#: copy-elim); a ``cache`` event is one artifact-cache lookup (status
 #: ``hit``/``miss``); a ``stage`` event is a coarse flow stage (compile,
 #: estimate, rtos, ...) — including the root span and per-task spans of a
 #: causal trace.
@@ -389,19 +391,22 @@ T = TypeVar("T")
 def staged(
     trace: Optional[BuildTrace],
     module: str,
-    stage: str,
+    name: str,
     fn: Callable[[], T],
     metrics: Optional[Callable[[T], Dict[str, Any]]] = None,
+    kind: str = STAGE,
 ) -> T:
-    """Run ``fn``; with a trace, record it as one ``stage`` event.
+    """Run ``fn``; with a trace, record it as one ``kind`` event.
 
-    ``metrics`` maps the stage's value to the event's metrics.
+    ``metrics`` maps the step's value to the event's metrics; it runs only
+    when traced, inside the timed window.
     """
     start = time.perf_counter()
     value = fn()
     if trace is not None:
-        trace.record_stage(
-            module, stage, (time.perf_counter() - start) * 1000.0,
-            metrics(value) if metrics is not None else None,
+        data = metrics(value) if metrics is not None else {}
+        trace.record(
+            TraceEvent(module=module, name=name, kind=kind, metrics=data,
+                       wall_ms=(time.perf_counter() - start) * 1000.0)
         )
     return value

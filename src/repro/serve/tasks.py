@@ -5,7 +5,7 @@ to the persistent process pool; it speaks the same task protocol
 (``run(keep_result) -> outcome``) as every other pipeline task.  Inside
 the worker it dispatches on the request kind to a handler that reuses the
 exact library entry points the CLI uses — :func:`repro.flow.build_system`,
-:func:`repro.pipeline.build_module_artifacts`,
+:func:`repro.pipeline.cached_module_artifacts`,
 :func:`repro.fleet.sim.run_fleet`, :func:`repro.difftest.run_fuzz` — so a
 served response is byte-identical to a direct call (the conformance
 suite's contract).
@@ -37,8 +37,7 @@ from ..obs.context import TraceContext
 from ..pipeline import (
     ArtifactCache,
     BuildTrace,
-    build_module_artifacts,
-    module_cache_key,
+    cached_module_artifacts,
     synthesis_options,
 )
 from ..pipeline.artifacts import bound_figures
@@ -190,23 +189,9 @@ def _handle_estimate(params, cache, trace) -> Dict[str, Any]:
         copy_elimination=bool(params.get("copy_elimination", False)),
         params=cost,
     )
-    artifacts = None
-    from_cache = False
-    key = None
-    if cache is not None:
-        key = module_cache_key(machine, options, profile)
-        artifacts = cache.get(key)
-        if trace is not None:
-            trace.record_cache(
-                machine.name, "hit" if artifacts is not None else "miss", key
-            )
-        from_cache = artifacts is not None
-    if artifacts is None:
-        artifacts, _ = build_module_artifacts(
-            machine, options, profile, cost, trace=trace
-        )
-        if cache is not None and key is not None:
-            cache.put(key, artifacts)
+    artifacts, _, from_cache = cached_module_artifacts(
+        machine, options, profile, cost, cache=cache, trace=trace
+    )
     return {
         "module": artifacts.name,
         "scheme": artifacts.scheme,

@@ -20,11 +20,11 @@ Schemes (Sec. III-B3):
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..cfsm.machine import Cfsm
-from ..pipeline.passes import PassContext, PassManager
-from ..pipeline.trace import BuildTrace
+from ..obs import SiftProfile
+from ..pipeline.trace import PASS, BuildTrace, staged
 from ..synthesis.reactive import ReactiveFunction, synthesize_reactive
 from .build import build_sgraph, default_order, reduce_sgraph
 from .dataflow import vars_needing_copy
@@ -37,7 +37,6 @@ from .orderings import (
     outputs_first_order,
     sifted_order,
 )
-from .passes import SynthesisState, synthesis_passes
 
 __all__ = [
     "SGraph",
@@ -61,8 +60,6 @@ __all__ = [
     "outputs_first_order",
     "mixed_order",
     "SynthesisResult",
-    "SynthesisState",
-    "synthesis_passes",
     "synthesize",
 ]
 
@@ -171,6 +168,51 @@ def synthesize(
     )
 
 
+def _order(
+    rf: ReactiveFunction, scheme: str, mixed_seed: int, profile
+) -> List[int]:
+    """The TEST-variable order of ``scheme`` (Sec. III-B3)."""
+    if scheme == "naive":
+        return naive_order(rf)
+    if scheme in ("sift", "sift-strict"):
+        return sifted_order(rf, strict=scheme == "sift-strict", profile=profile)
+    if scheme == "outputs-first":
+        return outputs_first_order(rf)
+    return mixed_order(rf, seed=mixed_seed)
+
+
+def _order_metrics(rf: ReactiveFunction, scheme: str, profile) -> Dict[str, Any]:
+    metrics: Dict[str, Any] = {
+        "scheme": scheme,
+        "chi_nodes": rf.chi.size(),
+        # The manager's store: the C kernel, or the Python one when no
+        # compiler could build it.
+        "bdd_engine": "native" if rf.manager._native else "python",
+    }
+    if profile is not None:
+        metrics.update(profile.summary())
+        # Per-sample curve (size, swaps, ITE hit rate, live nodes) over the
+        # reordering run; wall-clock-free so identical builds trace
+        # identically.
+        metrics["sift_timeline"] = profile.timeline()
+        # The kernel's view of the same run: swap fast-path hits,
+        # collections and cache effectiveness.
+        counters = rf.manager.counters()
+        for key in ("swaps", "swap_skips", "collects", "ite_cache_hits",
+                    "ite_cache_misses"):
+            metrics[f"bdd_{key}"] = counters[key]
+    return metrics
+
+
+def _sgraph_metrics(sg: SGraph) -> Dict[str, Any]:
+    counts = sg.counts()
+    return {
+        "sgraph_vertices": len(sg.reachable()),
+        "tests": counts["TEST"],
+        "assigns": counts["ASSIGN"],
+    }
+
+
 def synthesize_from_reactive(
     rf: ReactiveFunction,
     scheme: str = "sift",
@@ -183,30 +225,61 @@ def synthesize_from_reactive(
 ) -> SynthesisResult:
     """Pipeline tail starting from an existing reactive function.
 
-    The stages run as the declared pass sequence of
-    :func:`repro.sgraph.passes.synthesis_passes` (order → build → reduce →
-    prune → multiway → copy-elim); a :class:`BuildTrace` passed via
-    ``trace`` receives one timed, metric-carrying event per pass.
+    The steps run in the paper's order: order → build → reduce → prune
+    (``prune``) → multiway (``multiway``, not for ``outputs-first``, which
+    has no state tests to merge) → copy-elim (``copy_elimination``).  A
+    :class:`BuildTrace` passed via ``trace`` receives one timed ``pass``
+    event per step that ran, with its metrics (BDD sizes after ordering,
+    s-graph vertex counts after each rewrite); untraced, no metric is
+    computed and sifting runs without a profile.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    manager = PassManager(
-        synthesis_passes(
-            scheme,
-            multiway=multiway,
-            multiway_threshold=multiway_threshold,
-            prune=prune,
-            copy_elimination=copy_elimination,
-        )
+    name = rf.cfsm.name
+    # Profile the reordering loop only when a trace will carry the summary.
+    profile = None
+    if trace is not None and scheme in ("sift", "sift-strict"):
+        profile = SiftProfile()
+    order = staged(
+        trace, name, "order", lambda: _order(rf, scheme, mixed_seed, profile),
+        lambda _: _order_metrics(rf, scheme, profile), PASS,
     )
-    state = SynthesisState(rf=rf, scheme=scheme, mixed_seed=mixed_seed)
-    ctx = PassContext(module=rf.cfsm.name, trace=trace)
-    manager.run(state, ctx)
-    assert state.sgraph is not None
+    sg = staged(
+        trace, name, "build", lambda: build_sgraph(rf, order),
+        _sgraph_metrics, PASS,
+    )
+
+    def rewrite(step: str, fn) -> None:
+        staged(trace, name, step, fn, lambda _: _sgraph_metrics(sg), PASS)
+
+    def prune_zero() -> None:
+        # ``x := 0`` assigns are redundant in the zero-initialized frame.
+        prune_zero_assigns(sg)
+        reduce_sgraph(sg)
+
+    rewrite("reduce", lambda: reduce_sgraph(sg))
+    if prune:
+        rewrite("prune", prune_zero)
+    if multiway and scheme != "outputs-first":
+
+        def merge() -> bool:
+            # Binary state-bit tests into multiway switches (footnote 3).
+            merged = merge_multiway(sg, rf.encoding, min_targets=multiway_threshold)
+            if merged:
+                reduce_sgraph(sg)
+            return bool(merged)
+
+        staged(
+            trace, name, "multiway", merge,
+            lambda merged: dict(_sgraph_metrics(sg), merged=merged), PASS,
+        )
+    copy_vars = None
+    if copy_elimination:
+        # Write-before-read data flow (the Sec. V-B extension).
+        copy_vars = staged(
+            trace, name, "copy-elim", lambda: vars_needing_copy(sg, rf.encoding),
+            lambda found: {"copied_vars": len(found)}, PASS,
+        )
     return SynthesisResult(
-        reactive=rf,
-        sgraph=state.sgraph,
-        order=state.order,
-        scheme=scheme,
-        copy_vars=state.copy_vars,
+        reactive=rf, sgraph=sg, order=order, scheme=scheme, copy_vars=copy_vars,
     )

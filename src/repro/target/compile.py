@@ -147,6 +147,8 @@ class _Emitter:
             return
         self._branch += 1
         prefix = f"__b{self._branch}"
+        # Labels are numbered in order of first use, not by edge id, so a
+        # listing does not depend on where the manager stored the nodes.
         node_labels: Dict[int, str] = {}
 
         def lab(edge: int) -> str:
@@ -154,7 +156,9 @@ class _Emitter:
                 return on_true
             if edge == FALSE_ID:
                 return on_false
-            return node_labels.setdefault(edge, f"{prefix}_{edge}")
+            return node_labels.setdefault(
+                edge, f"{prefix}_{len(node_labels) + 1}"
+            )
 
         # One read of the node store, then a walk over plain edges.
         var_arr, lo_arr, hi_arr = fn.manager._node_arrays()

@@ -40,3 +40,28 @@ def test_fuzz_replay_of_a_malformed_file_exits_2(malformed, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"repro fuzz: {malformed}: invalid replay")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_fuzz_replay_reads_each_file_once(malformed, monkeypatch, capsys):
+    from pathlib import Path
+
+    import repro.difftest.runner as runner
+
+    corpus = sorted(
+        str(p) for p in (Path(__file__).parent / "corpus").glob("*.json")
+    )[:2]
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        if str(path).endswith(".json"):
+            opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "open", counting_open, raising=False)
+    assert main(["fuzz", "--replay", corpus[0], "--replay", corpus[1]]) == 0
+    assert opened == corpus
+    assert capsys.readouterr().out.count("PASS") == 2
+    opened.clear()
+    assert main(["fuzz", "--replay", corpus[0], "--replay", str(malformed)]) == 2
+    assert opened == [corpus[0], str(malformed)]

@@ -54,6 +54,22 @@ class TestFingerprints:
         assert code_version() == code_version()
         assert len(code_version()) == 64
 
+    def test_code_version_covers_the_c_kernel(self, tmp_path):
+        """The BDD kernel's C source decides every sift, so it keys too."""
+        from repro.pipeline.cache import _source_version
+
+        def tree(name, kernel):
+            bdd = tmp_path / name / "bdd"
+            (bdd / "__pycache__").mkdir(parents=True)
+            (bdd / "manager.py").write_text("SIFT = 1\n")
+            (bdd / "_bdd_kernel.c").write_text(kernel)
+            (bdd / "__pycache__" / "_bdd_kernel.k.so").write_bytes(os.urandom(8))
+            return _source_version(str(tmp_path / name))
+
+        old = tree("old", "int bk_sift_pass(void) { return 0; }\n")
+        assert tree("same", "int bk_sift_pass(void) { return 0; }\n") == old
+        assert tree("new", "int bk_sift_pass(void) { return 1; }\n") != old
+
     def test_key_depends_on_every_component(self):
         cfsm = make_counter_cfsm()
         params = calibrate(K11)

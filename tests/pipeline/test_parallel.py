@@ -17,6 +17,7 @@ from repro.apps import abp_network
 from repro.difftest import FuzzConfig, run_fuzz
 from repro.flow import build_system
 from repro.pipeline import (
+    BuildTrace,
     ModuleBuildTask,
     PersistentProcessExecutor,
     SerialExecutor,
@@ -38,6 +39,15 @@ def _tasks(network, params):
         )
         for machine in network.machines
     ]
+
+
+def _traced(tasks):
+    """``tasks``, each on its lane of one causal trace, as a build hands them."""
+    trace = BuildTrace()
+    trace.begin("test")
+    for lane, task in enumerate(tasks, start=1):
+        task.context = trace.context_for(lane)
+    return tasks
 
 
 class _Fail:
@@ -72,7 +82,7 @@ class TestMakeExecutor:
 
 class TestExecutionEquivalence:
     def test_serial_keeps_live_results(self, dashboard_net, k11_params):
-        tasks = _tasks(dashboard_net, k11_params)[:2]
+        tasks = _traced(_tasks(dashboard_net, k11_params)[:2])
         outcomes = SerialExecutor().run(tasks)
         assert all(o.result is not None for o in outcomes)
         assert all(o.events for o in outcomes)
@@ -101,12 +111,22 @@ class TestExecutionEquivalence:
             assert p.artifacts.copied_state_vars == s.artifacts.copied_state_vars
 
     def test_worker_trace_events_come_back(self, dashboard_net, k11_params):
-        tasks = _tasks(dashboard_net, k11_params)[:2]
+        tasks = _traced(_tasks(dashboard_net, k11_params)[:2])
         pooled = make_executor(2).run(tasks)
         for task, outcome in zip(tasks, pooled):
             names = [e.name for e in outcome.events if e.kind == "pass"]
             assert names[:3] == ["order", "build", "reduce"]
             assert all(e.module == task.machine.name for e in outcome.events)
+
+    def test_untraced_tasks_ship_no_events(self, dashboard_net, k11_params):
+        tasks = _tasks(dashboard_net, k11_params)[:2]
+        serial = SerialExecutor().run(tasks)
+        pooled = make_executor(2).run(tasks)
+        for outcome in serial + pooled:
+            assert outcome.events == []
+            assert outcome.metrics == {}
+        for s, p in zip(serial, pooled):
+            assert p.artifacts.c_source == s.artifacts.c_source
 
 
 class TestSharedPool:

@@ -1,70 +1,42 @@
-"""The Pass protocol, the PassManager, and the declared synthesis sequence."""
+"""The synthesis steps, in the order and with the metrics a trace records."""
 
 import pytest
 
-from repro.pipeline import BuildTrace, Pass, PassContext, PassManager
-from repro.sgraph import SynthesisResult, synthesize
-from repro.sgraph.passes import SynthesisState, synthesis_passes
+from repro.pipeline import BuildTrace
+from repro.sgraph import SynthesisResult, synthesize, synthesize_from_reactive
 from repro.synthesis import synthesize_reactive
 
 
-class AppendPass(Pass):
-    def __init__(self, name, value):
-        self.name = name
-        self.value = value
-
-    def run(self, state, ctx):
-        state.append(self.value)
-        return {"appended": self.value}
-
-
-class TestPassManager:
-    def test_runs_passes_in_declared_order(self):
-        manager = PassManager([AppendPass("a", 1), AppendPass("b", 2)])
-        state = manager.run([])
-        assert state == [1, 2]
-        assert manager.names() == ["a", "b"]
-
-    def test_records_one_timed_event_per_pass(self):
-        trace = BuildTrace()
-        manager = PassManager([AppendPass("a", 1), AppendPass("b", 2)])
-        manager.run([], PassContext(module="m", trace=trace))
-        assert [e.name for e in trace.passes("m")] == ["a", "b"]
-        assert all(e.wall_ms >= 0.0 for e in trace.events)
-        assert trace.passes("m")[0].metrics == {"appended": 1}
-
-    def test_base_pass_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Pass().run(None, PassContext())
+def _step_names(cfsm, scheme="sift", **options):
+    trace = BuildTrace()
+    synthesize(cfsm, scheme=scheme, trace=trace, **options)
+    return [e.name for e in trace.passes(cfsm.name)]
 
 
 class TestSynthesisPassSequence:
-    def test_default_sequence_is_the_declared_order(self):
-        names = [p.name for p in synthesis_passes("sift", copy_elimination=True)]
-        assert names == ["order", "build", "reduce", "prune",
-                         "multiway", "copy-elim"]
-
-    def test_disabled_stages_are_omitted_not_noops(self):
-        names = [p.name for p in synthesis_passes(
-            "sift", multiway=False, prune=False
-        )]
-        assert names == ["order", "build", "reduce"]
-        # outputs-first has no state tests to merge into switches.
-        assert "multiway" not in [
-            p.name for p in synthesis_passes("outputs-first")
+    def test_default_sequence_is_the_declared_order(self, modal_cfsm):
+        assert _step_names(modal_cfsm, copy_elimination=True) == [
+            "order", "build", "reduce", "prune", "multiway", "copy-elim"
         ]
 
+    def test_disabled_stages_are_omitted_not_noops(self, modal_cfsm):
+        assert _step_names(modal_cfsm, multiway=False, prune=False) == [
+            "order", "build", "reduce"
+        ]
+        # outputs-first has no state tests to merge into switches.
+        assert "multiway" not in _step_names(modal_cfsm, scheme="outputs-first")
+
     def test_pipeline_matches_legacy_result(self, modal_cfsm):
-        """The declared sequence reproduces the historical synthesize()."""
+        """The traced steps from a reactive function give synthesize()'s graph."""
         result = synthesize(modal_cfsm, scheme="sift", copy_elimination=True)
         assert isinstance(result, SynthesisResult)
-        rf = synthesize_reactive(modal_cfsm)
-        state = SynthesisState(rf=rf, scheme="sift")
-        manager = PassManager(synthesis_passes("sift", copy_elimination=True))
-        manager.run(state, PassContext(module=modal_cfsm.name))
-        assert state.sgraph is not None
-        assert state.sgraph.counts() == result.sgraph.counts()
-        assert state.copy_vars == result.copy_vars
+        traced = synthesize_from_reactive(
+            synthesize_reactive(modal_cfsm), scheme="sift",
+            copy_elimination=True, trace=BuildTrace(),
+        )
+        assert traced.sgraph.counts() == result.sgraph.counts()
+        assert traced.copy_vars == result.copy_vars
+        assert traced.order == result.order
 
     def test_synthesize_emits_trace_with_metrics(self, modal_cfsm):
         trace = BuildTrace()
